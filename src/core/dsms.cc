@@ -33,7 +33,6 @@ exec::EngineConfig MakeEngineConfig(const SimulationOptions& options,
   engine_config.tracer = options.tracer;
   engine_config.attribution_sample_every = options.attribution_sample_every;
   engine_config.batch_size = options.batch_size;
-  engine_config.batch_quantum = options.batch_quantum;
   engine_config.use_columnar_kernels = options.use_columnar_kernels;
   engine_config.shed = options.shed;
   return engine_config;

@@ -20,7 +20,6 @@
 #include "query/workload.h"
 #include "sched/admission.h"
 #include "sched/policy.h"
-#include "sched/shard_router.h"
 
 namespace aqsios::core {
 
@@ -40,7 +39,7 @@ struct SimulationOptions {
   /// default — off is byte-identical to pre-calibration builds.
   sched::CalibrationConfig calibration;
   /// Mid-run statistics drift of a query subset (stream/drift.h): the
-  /// workload scenario calibration exists for. Per-tuple dispatcher only
+  /// workload scenario calibration exists for. Requires batch_size 1
   /// (checked); off by default and byte-inert when off.
   stream::DriftConfig drift;
   metrics::QosCollector::Options qos;
@@ -60,19 +59,14 @@ struct SimulationOptions {
   int64_t attribution_sample_every = 0;
   /// Tuple-train batching (exec::EngineConfig::batch_size): maximum tuples
   /// drained from the picked unit per scheduling decision. 1 = classic
-  /// per-tuple dispatch (the default, bit-identical to the unbatched
-  /// engine); 0 = drain the whole queue; k > 1 amortizes one decision —
-  /// and its §9.2 overhead charge — over up to k tuples.
+  /// per-tuple dispatch (the default: every dispatch is a train of one);
+  /// 0 = drain the whole queue; k > 1 amortizes one decision — and its
+  /// §9.2 overhead charge — over up to k tuples.
   int batch_size = 1;
-  /// Optional time-quantum cap on the train (exec::EngineConfig::
-  /// batch_quantum): expected-cost budget per dispatch in simulated
-  /// seconds; 0 disables. Any positive value engages the batched
-  /// dispatcher even at batch_size 1.
-  SimTime batch_quantum = 0.0;
-  /// Columnar (SoA) kernel execution of batched chain trains
+  /// Columnar (SoA) kernel execution of chain trains longer than one
   /// (exec::EngineConfig::use_columnar_kernels, docs/performance.md).
   /// Results are bit-identical either way; on by default, off measures the
-  /// scalar train floor. Only engages when the batched dispatcher does.
+  /// scalar train floor.
   bool use_columnar_kernels = true;
 
   /// Shard-parallel runtime (core/sharded_dsms.h, docs/scaling.md): number
@@ -105,12 +99,9 @@ struct SimulationOptions {
   /// byte-identical to pre-shedding builds.
   exec::ShedConfig shed;
   /// Per-class admission control at the shard router (sched/admission.h);
-  /// only meaningful when shards > 1. Off by default.
+  /// only meaningful when shards > 1. Off by default. The router's
+  /// backpressure on a full ring is the lossless default StallPolicy.
   sched::AdmissionConfig admission;
-  /// Router backpressure behaviour on a full shard ring
-  /// (sched::StallPolicy); only meaningful when shards > 1. The default is
-  /// lossless bounded backoff.
-  sched::StallPolicy stall;
 };
 
 struct RunResult {

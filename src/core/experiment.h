@@ -45,7 +45,7 @@ struct SweepConfig {
   std::vector<sched::PolicyConfig> policies;
   /// Per-cell simulation knobs, applied uniformly to every cell. This is
   /// also where tuple-train batching rides into a sweep
-  /// (SimulationOptions::batch_size / batch_quantum): a batched sweep runs
+  /// (SimulationOptions::batch_size): a batched sweep runs
   /// the same grid with every engine draining up to batch_size tuples per
   /// scheduling decision.
   SimulationOptions options;

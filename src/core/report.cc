@@ -96,10 +96,10 @@ void WriteCounters(JsonWriter& json, const exec::RunCounters& counters) {
   obs::WriteSummaryJson(json, counters.queue_length);
   json.Key("exec_busy_seconds");
   obs::WriteSummaryJson(json, counters.exec_busy);
-  if (counters.train_dispatches > 0) {
-    // Batched-dispatch shape; only present when the engine ran its tuple
-    // train path, so per-tuple runs (batch_size 1) serialize byte-identically
-    // to reports written before batching existed.
+  if (counters.max_train_tuples > 1) {
+    // Train shape; only present when some dispatch drained more than one
+    // tuple, so per-tuple runs (batch_size 1, all trains of one) serialize
+    // byte-identically to reports written before batching existed.
     json.Key("trains");
     json.BeginObject();
     json.Key("dispatches");

@@ -430,9 +430,7 @@ ShardedRunResult SimulateShardedPlan(
   std::vector<stream::ArrivalTable> sub_arrivals(
       static_cast<size_t>(num_shards));
   {
-    sched::ShardRouter router(plan, sharded.assignment,
-                              sched::ShardRouter::kDefaultRingCapacity,
-                              options.stall);
+    sched::ShardRouter router(plan, sharded.assignment);
     // Admission control sits on the producer side of the rings: rejected
     // arrivals are decided purely by the time-ordered table walk, so the
     // admitted sub-tables — and therefore all downstream results — stay
@@ -485,21 +483,14 @@ ShardedRunResult SimulateShardedPlan(
     config.tracer =
         shard_tracers != nullptr ? (*shard_tracers)[i] : nullptr;
     config.telemetry = hub != nullptr ? hub->cell(s) : nullptr;
-    if (config.drift.enabled) {
-      // The engine sees local dense query ids; translate drift membership
-      // from the global ids so the drifting subset is the same queries —
-      // and every tuple the same factors — as in the single-shard run.
-      const std::vector<int32_t>& to_global = sharded.query_id_maps[i];
-      config.drift.applies.assign(to_global.size(), 0);
-      for (size_t local = 0; local < to_global.size(); ++local) {
-        config.drift.applies[local] =
-            options.drift.AppliesTo(to_global[local]) ? 1 : 0;
-      }
-    }
     std::unique_ptr<sched::Scheduler> scheduler =
         sched::CreateScheduler(policy);
     exec::Engine engine(&sub_plans[i], &sub_arrivals[i], config,
                         scheduler.get(), &collectors[i]);
+    // The sub-plan renumbers queries to local dense ids; frozen draws and
+    // drift membership key on the global ids, so every tuple meets the
+    // same filter outcomes and drift factors as in the single-shard run.
+    engine.SetGlobalQueryIds(sharded.query_id_maps[i]);
     counters[i] = engine.Run();
     ShardRunStats& stats = sharded.shard_stats[i];
     stats.wall_ms = std::chrono::duration<double, std::milli>(

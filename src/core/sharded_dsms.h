@@ -14,13 +14,15 @@
 //  * Results are a pure function of (plan, arrivals, policy, K, shard_seed).
 //    Thread count, pool scheduling, and ring timing affect only wall-clock.
 //  * Emissions and filter drops are schedule-invariant: frozen draws key on
-//    global Arrival::id / group id / composite identity, which shard
-//    sub-tables and sub-plans preserve. Single-stream workloads therefore
-//    emit identical tuples at any K. Windowed joins evict state relative to
-//    the probing tuple's timestamp, so — as with any schedule change
-//    (policy, batching, sharding) — match counts can shift marginally when
-//    cross-stream processing order changes; the deltas stay within a
-//    fraction of a percent (pinned by tests/core_sharded_dsms_test.cc).
+//    global Arrival::id / query id / group id / composite identity, which
+//    shard sub-tables and sub-plans preserve (each shard engine maps its
+//    local dense query ids back to global ones). Single-stream workloads
+//    therefore emit identical tuples at any K, in either selectivity mode.
+//    Windowed joins evict state relative to the probing tuple's timestamp,
+//    so — as with any schedule change (policy, batching, sharding) — match
+//    counts can shift marginally when cross-stream processing order
+//    changes; the deltas stay within a fraction of a percent (pinned by
+//    tests/core_sharded_dsms_test.cc).
 //  * K > 1 is a *scheduling variant*, not a bit-identical reproduction of
 //    K = 1: each shard's scheduler ranks only its own units, so per-tuple
 //    response times differ from the global schedule (the same way HNR

@@ -80,7 +80,7 @@ std::string RunCounters::ToString() const {
      << " peak_queue=" << peak_queued_tuples
      << " avg_queue=" << avg_queued_tuples
      << " candidates=" << decision_candidates;
-  if (train_dispatches > 0) {
+  if (max_train_tuples > 1) {
     os << " trains=" << train_dispatches
        << " train_tuples=" << train_tuples
        << " max_train=" << max_train_tuples;
@@ -104,20 +104,14 @@ Engine::Engine(const query::GlobalPlan* plan,
       tracer_(config.tracer),
       telemetry_(config.telemetry) {
   attribution_.sample_every = config.attribution_sample_every;
-  if (telemetry_ != nullptr) {
-    AQSIOS_CHECK_GE(config.telemetry_publish_every, 1);
-    uint64_t period = 1;
-    while (period < static_cast<uint64_t>(config.telemetry_publish_every)) {
-      period <<= 1;
-    }
-    telemetry_mask_ = period - 1;
-  }
   AQSIOS_CHECK(plan != nullptr);
   AQSIOS_CHECK(arrivals != nullptr);
   AQSIOS_CHECK(scheduler != nullptr);
   AQSIOS_CHECK_GE(config.batch_size, 0);
-  AQSIOS_CHECK_GE(config.batch_quantum, 0.0);
-  batching_ = config.batch_size != 1 || config.batch_quantum > 0.0;
+  global_query_id_.resize(static_cast<size_t>(plan->num_queries()));
+  for (size_t q = 0; q < global_query_id_.size(); ++q) {
+    global_query_id_[q] = static_cast<int32_t>(q);
+  }
 
   UnitBuilderOptions builder_options;
   builder_options.level = config.level;
@@ -213,9 +207,9 @@ Engine::Engine(const query::GlobalPlan* plan,
 
   drifting_ = config.drift.enabled;
   if (drifting_) {
-    AQSIOS_CHECK(!batching_)
-        << "statistics drift requires the per-tuple dispatcher (a train "
-           "charges one bulk cost for entries with different arrival times)";
+    AQSIOS_CHECK_EQ(config.batch_size, 1)
+        << "statistics drift requires batch_size 1 (a longer train charges "
+           "one bulk cost for entries with different arrival times)";
     AQSIOS_CHECK(plan->sharing_groups().empty())
         << "statistics drift is per query; a shared operator execution "
            "spans queries with different drift factors";
@@ -231,7 +225,8 @@ Engine::Engine(const query::GlobalPlan* plan,
   // stats monitor adapts UnitStats, never OperatorSpec). Traced runs keep
   // the scalar pass — it emits one kOperatorInvocation event per charge in
   // clock order, which the batched replay cannot reproduce lazily.
-  columnar_ = config.use_columnar_kernels && batching_ && tracer_ == nullptr;
+  columnar_ = config.use_columnar_kernels && config.batch_size != 1 &&
+              tracer_ == nullptr;
   if (columnar_) {
     unit_kernels_.resize(built_.units.size());
     for (const sched::Unit& unit : built_.units) {
@@ -355,9 +350,10 @@ bool Engine::Passes(const query::OperatorSpec& op,
     // "attribute <= s·100" over the synthetic uniform (0,100] attribute.
     return arrival.attribute <= selectivity * 100.0;
   }
-  const uint64_t key =
-      MixKeys(kFilterSalt, static_cast<uint64_t>(arrival.id),
-              static_cast<uint64_t>(q.id()), static_cast<uint64_t>(op_ordinal));
+  const uint64_t key = MixKeys(
+      kFilterSalt, static_cast<uint64_t>(arrival.id),
+      static_cast<uint64_t>(global_query_id_[static_cast<size_t>(q.id())]),
+      static_cast<uint64_t>(op_ordinal));
   return FrozenBernoulli(key, selectivity);
 }
 
@@ -422,22 +418,14 @@ void Engine::EmitSingle(const query::CompiledQuery& q,
   }
 }
 
-void Engine::ExecuteQueryChain(const sched::Unit& unit,
+void Engine::ExecuteChainTuple(const sched::Unit& unit,
                                const sched::QueueEntry& entry) {
   const query::CompiledQuery& q = plan_->query(unit.query);
   const stream::Arrival& arrival =
       arrivals_->arrivals[static_cast<size_t>(entry.arrival)];
-  if (RunChainOps(q, arrival, /*from=*/0)) {
-    EmitSingle(q, arrival.id, entry.arrival_time);
-  }
-}
-
-void Engine::ExecuteRemainder(const sched::Unit& unit,
-                              const sched::QueueEntry& entry) {
-  const query::CompiledQuery& q = plan_->query(unit.query);
-  const stream::Arrival& arrival =
-      arrivals_->arrivals[static_cast<size_t>(entry.arrival)];
-  if (RunChainOps(q, arrival, unit.op_index)) {
+  const int from =
+      unit.kind == sched::UnitKind::kRemainder ? unit.op_index : 0;
+  if (RunChainOps(q, arrival, from)) {
     EmitSingle(q, arrival.id, entry.arrival_time);
   }
 }
@@ -498,9 +486,10 @@ bool Engine::PassesComposite(const query::OperatorSpec& op, uint64_t identity,
   if (selectivity >= 1.0) return true;
   // Frozen per composite identity: deterministic and independent of the
   // order in which policies generate the composite.
-  const uint64_t key = MixKeys(kFilterSalt, identity,
-                               static_cast<uint64_t>(q),
-                               static_cast<uint64_t>(op_ordinal));
+  const uint64_t key = MixKeys(
+      kFilterSalt, identity,
+      static_cast<uint64_t>(global_query_id_[static_cast<size_t>(q)]),
+      static_cast<uint64_t>(op_ordinal));
   return FrozenBernoulli(key, selectivity);
 }
 
@@ -585,9 +574,10 @@ void Engine::ProbeAndPropagate(const query::CompiledQuery& q, int stage,
     // does not depend on processing order (and hence not on the policy).
     const uint64_t pair_hash =
         Mix64(entry.identity) ^ Mix64(partner.identity);
-    const uint64_t key = MixKeys(kJoinPairSalt,
-                                 static_cast<uint64_t>(q.id()),
-                                 static_cast<uint64_t>(stage), pair_hash);
+    const uint64_t key = MixKeys(
+        kJoinPairSalt,
+        static_cast<uint64_t>(global_query_id_[static_cast<size_t>(q.id())]),
+        static_cast<uint64_t>(stage), pair_hash);
     if (!FrozenBernoulli(key, join.EffectiveActualSelectivity())) continue;
     ++counters_.composites_generated;
 
@@ -725,90 +715,6 @@ void Engine::DeliverArrivalsUpTo(SimTime time) {
   }
 }
 
-void Engine::ExecuteUnit(int unit_id) {
-  sched::Unit& unit = built_.units[static_cast<size_t>(unit_id)];
-  AQSIOS_CHECK(unit.has_pending())
-      << "scheduler picked empty unit " << unit_id;
-  const sched::QueueEntry entry = unit.queue.front();
-  unit.queue.pop_front();
-  AccrueQueueOccupancy();
-  --queued_tuples_;
-  scheduler_->OnDequeue(unit_id);
-  ++counters_.unit_executions;
-  if (stats_monitor_ != nullptr) stats_monitor_->OnExecutionStart(unit_id);
-
-  exec_start_ = now_;
-  cur_unit_ = unit_id;
-  cur_query_ = static_cast<int32_t>(unit.query);
-
-  if (drifting_) {
-    // The factors are pure functions of (query, arrival time): every policy
-    // charges the same scaled costs for this tuple no matter when it runs.
-    charge_scale_ = config_.drift.CostFactorAt(unit.query, entry.arrival_time);
-    sel_scale_ =
-        config_.drift.SelectivityFactorAt(unit.query, entry.arrival_time);
-  }
-  const SimTime dispatch_busy0 = counters_.busy_time;
-  const int64_t dispatch_emit0 = counters_.tuples_emitted;
-
-  switch (unit.kind) {
-    case sched::UnitKind::kQueryChain:
-      ExecuteQueryChain(unit, entry);
-      break;
-    case sched::UnitKind::kOperator:
-      ExecuteOperator(unit, entry);
-      break;
-    case sched::UnitKind::kSharedGroup:
-      ExecuteSharedGroup(unit, entry);
-      break;
-    case sched::UnitKind::kRemainder:
-      ExecuteRemainder(unit, entry);
-      break;
-    case sched::UnitKind::kJoinSideLeft:
-      ExecuteJoinInput(unit, entry, 0);
-      break;
-    case sched::UnitKind::kJoinSideRight:
-      ExecuteJoinInput(unit, entry, 1);
-      break;
-    case sched::UnitKind::kJoinInput:
-      ExecuteJoinInput(unit, entry, unit.op_index);
-      break;
-  }
-
-  if (calibrator_ != nullptr) {
-    calibrator_->OnDispatch(unit_id, /*tuples=*/1,
-                            counters_.busy_time - dispatch_busy0,
-                            counters_.tuples_emitted - dispatch_emit0);
-  }
-  exec_busy_hist_.Add(now_ - exec_start_);
-  if (tracer_ != nullptr) {
-    tracer_->Record(
-        {obs::EventKind::kSegmentRun, exec_start_, now_ - exec_start_,
-         unit_id, static_cast<int32_t>(unit.query),
-         arrivals_->arrivals[static_cast<size_t>(entry.arrival)].id});
-  }
-  cur_unit_ = -1;
-  cur_query_ = -1;
-}
-
-size_t Engine::TrainLength(const sched::Unit& unit) const {
-  size_t limit = config_.batch_size <= 0
-                     ? unit.queue.size()
-                     : static_cast<size_t>(config_.batch_size);
-  if (config_.batch_quantum > 0.0 && unit.stats.expected_cost > 0.0) {
-    const double budget = config_.batch_quantum / unit.stats.expected_cost;
-    // The quantum is deterministic up front: an expected-cost tuple budget,
-    // never a mid-train cutoff (which would depend on realized
-    // selectivities and make train sizes order-sensitive).
-    const size_t quantum_cap =
-        budget < 1.0 ? size_t{1}
-                     : static_cast<size_t>(std::min(
-                           budget, static_cast<double>(unit.queue.size())));
-    limit = std::min(limit, quantum_cap);
-  }
-  return std::min(limit, unit.queue.size());
-}
-
 void Engine::ExecuteChainTrain(const sched::Unit& unit, size_t count) {
   const query::CompiledQuery& q = plan_->query(unit.query);
   const std::vector<query::OperatorSpec>& ops = q.spec().left_ops;
@@ -833,15 +739,14 @@ void Engine::ExecuteChainTrain(const sched::Unit& unit, size_t count) {
   // in lockstep with it — same comparisons, same MixKeys key.
   const bool correlated =
       q.selectivity_mode() == query::SelectivityMode::kCorrelatedAttribute;
-  const uint64_t query_key = static_cast<uint64_t>(q.id());
+  const uint64_t query_key = static_cast<uint64_t>(
+      global_query_id_[static_cast<size_t>(q.id())]);
   // Operator-at-a-time over the surviving run: evaluate each chain operator
   // against every survivor before moving to the next operator, compacting
   // the selection vector in place. Non-root operators charge the clock in
   // bulk (ChargeBulk — one per-operator advance for the whole train); the
   // last operator charges and emits per survivor so each tuple departs with
-  // its own virtual timestamp (monotone within the train). At count == 1
-  // the charge/emit sequence is exactly the per-tuple RunChainOps +
-  // EmitSingle sequence (ChargeBulk of one is Charge).
+  // its own virtual timestamp (monotone within the train).
   for (int x = from; x < n_ops && !train_sel_.empty(); ++x) {
     const query::OperatorSpec& op = ops[static_cast<size_t>(x)];
     const SimTime cost = op.cost();
@@ -975,7 +880,8 @@ void Engine::ExecuteChainTrainColumnar(const sched::Unit& unit,
     }
     return;
   }
-  const uint64_t query_key = static_cast<uint64_t>(q.id());
+  const uint64_t query_key = static_cast<uint64_t>(
+      global_query_id_[static_cast<size_t>(q.id())]);
   const bool track_stats = stats_monitor_ != nullptr;
   uint32_t* sel = col_sel_;
   uint32_t* sel_next = col_sel_next_;
@@ -1100,9 +1006,13 @@ void Engine::ExecuteUnitTrain(int unit_id) {
   sched::Unit& unit = built_.units[static_cast<size_t>(unit_id)];
   AQSIOS_CHECK(unit.has_pending())
       << "scheduler picked empty unit " << unit_id;
-  const size_t count = TrainLength(unit);
-  const bool columnar =
-      columnar_ && unit_kernels_[static_cast<size_t>(unit_id)].enabled;
+  const size_t count =
+      config_.batch_size <= 0
+          ? unit.queue.size()
+          : std::min(unit.queue.size(),
+                     static_cast<size_t>(config_.batch_size));
+  const bool columnar = count > 1 && columnar_ &&
+                        unit_kernels_[static_cast<size_t>(unit_id)].enabled;
   if (columnar) {
     // Gather: one pass converting the drained AoS queue entries into the
     // SoA columns the kernels scan. The train_ scratch stays untouched —
@@ -1127,7 +1037,14 @@ void Engine::ExecuteUnitTrain(int unit_id) {
   AccrueQueueOccupancy();
   queued_tuples_ -= static_cast<int64_t>(count);
   // One scheduler reconciliation for the whole train (the amortized re-key).
-  scheduler_->OnBatchDequeue(unit_id, static_cast<int>(count));
+  // OnBatchDequeue(u, 1) is exactly OnDequeue(u) for every policy; a train
+  // of one calls the primitive directly, saving the forwarding virtual call
+  // on the per-tuple hot path (measurable on the paper_q500 benchmark).
+  if (count == 1) {
+    scheduler_->OnDequeue(unit_id);
+  } else {
+    scheduler_->OnBatchDequeue(unit_id, static_cast<int>(count));
+  }
   counters_.unit_executions += static_cast<int64_t>(count);
   ++counters_.train_dispatches;
   counters_.train_tuples += static_cast<int64_t>(count);
@@ -1135,7 +1052,7 @@ void Engine::ExecuteUnitTrain(int unit_id) {
                                         static_cast<int64_t>(count));
   if (stats_monitor_ != nullptr) {
     // Each train tuple is one execution of the unit for the selectivity /
-    // cost estimators, exactly as on the per-tuple path.
+    // cost estimators.
     for (size_t i = 0; i < count; ++i) {
       stats_monitor_->OnExecutionStart(unit_id);
     }
@@ -1145,13 +1062,24 @@ void Engine::ExecuteUnitTrain(int unit_id) {
   cur_unit_ = unit_id;
   cur_query_ = static_cast<int32_t>(unit.query);
 
+  if (drifting_) {
+    // Drift runs at batch_size 1, so the head entry is the whole train. The
+    // factors are pure functions of (query, arrival time): every policy
+    // charges the same scaled costs for this tuple no matter when it runs.
+    const int query = global_query_id_[static_cast<size_t>(unit.query)];
+    const SimTime arrival_time = train_.front().arrival_time;
+    charge_scale_ = config_.drift.CostFactorAt(query, arrival_time);
+    sel_scale_ = config_.drift.SelectivityFactorAt(query, arrival_time);
+  }
   const SimTime dispatch_busy0 = counters_.busy_time;
   const int64_t dispatch_emit0 = counters_.tuples_emitted;
 
   switch (unit.kind) {
     case sched::UnitKind::kQueryChain:
     case sched::UnitKind::kRemainder:
-      if (columnar) {
+      if (count == 1) {
+        ExecuteChainTuple(unit, train_.front());
+      } else if (columnar) {
         ExecuteChainTrainColumnar(unit, count);
       } else {
         ExecuteChainTrain(unit, count);
@@ -1182,8 +1110,7 @@ void Engine::ExecuteUnitTrain(int unit_id) {
 
   if (calibrator_ != nullptr) {
     // The whole train is one estimator observation: `count` tuples, their
-    // combined busy time, their root emissions — the same ratios the
-    // per-tuple path accumulates one dispatch at a time.
+    // combined busy time, their root emissions.
     calibrator_->OnDispatch(unit_id, static_cast<int64_t>(count),
                             counters_.busy_time - dispatch_busy0,
                             counters_.tuples_emitted - dispatch_emit0);
@@ -1269,7 +1196,7 @@ bool Engine::RunUntil(SimTime barrier) {
     ++counters_.scheduling_points;
     if (telemetry_ != nullptr &&
         (static_cast<uint64_t>(counters_.scheduling_points) &
-         telemetry_mask_) == 0) {
+         kTelemetryMask) == 0) {
       PublishTelemetry(/*done=*/false);
     }
     counters_.overhead_operations += cost.total();
@@ -1290,11 +1217,7 @@ bool Engine::RunUntil(SimTime barrier) {
       exec_point_overhead_ = overhead;
     }
     const SimTime busy_before = counters_.busy_time;
-    if (batching_) {
-      for (int unit : picked_) ExecuteUnitTrain(unit);
-    } else {
-      for (int unit : picked_) ExecuteUnit(unit);
-    }
+    for (int unit : picked_) ExecuteUnitTrain(unit);
     if (elastic_) {
       group_busy_[static_cast<size_t>(group_of_unit_[static_cast<size_t>(
           picked_.front())])] += counters_.busy_time - busy_before;
@@ -1340,6 +1263,13 @@ RunCounters Engine::Finish() {
   counters_.exec_busy_hist = std::move(exec_busy_hist_);
   counters_.attribution = attribution_;
   return counters_;
+}
+
+void Engine::SetGlobalQueryIds(std::vector<int32_t> global_ids) {
+  AQSIOS_CHECK(!ran_) << "SetGlobalQueryIds must precede Begin";
+  AQSIOS_CHECK_EQ(static_cast<int64_t>(global_ids.size()),
+                  static_cast<int64_t>(plan_->num_queries()));
+  global_query_id_ = std::move(global_ids);
 }
 
 // --- Elastic shard mode (core/rebalance.h, core/sharded_dsms.cc) ------------

@@ -74,36 +74,27 @@ struct EngineConfig {
   obs::EventTracer* tracer = nullptr;
 
   /// Optional live-telemetry snapshot cell (obs/telemetry.h). The engine
-  /// publishes its hot counters into the cell at scheduling points so a
-  /// TelemetrySampler thread can observe the run live. Same discipline as
-  /// `tracer`: observation-only, one branch on a null pointer when disabled,
-  /// never feeds the virtual clock (pinned by tests/obs_telemetry_test.cc).
+  /// publishes its hot counters into the cell every 16th scheduling point
+  /// (and at idle jumps and the end) so a TelemetrySampler thread can
+  /// observe the run live. Same discipline as `tracer`: observation-only,
+  /// one branch on a null pointer when disabled, never feeds the virtual
+  /// clock (pinned by tests/obs_telemetry_test.cc).
   obs::SnapshotCell* telemetry = nullptr;
-
-  /// Publish into the cell every 2^ceil(log2(N)) scheduling points (the
-  /// engine rounds up to a power of two and tests a mask). 16 keeps the
-  /// publish cost well under the sampler's wall-clock resolution.
-  int telemetry_publish_every = 16;
 
   /// Per-tuple stage-attribution sample period N: every N-th arrival id's
   /// emissions get their response time decomposed into queue wait /
   /// scheduling overhead / processing (see obs/attribution.h). 0 disables.
   int64_t attribution_sample_every = 0;
 
-  /// Batched (train) execution: one scheduling decision drains up to
-  /// `batch_size` tuples from the picked unit and runs them through the
-  /// segment as a train, so priority re-keys and the §9.2 overhead charge
-  /// are amortized over the whole batch (Aurora's train scheduling, the
-  /// regime Figure 14 analyzes). 1 = the per-tuple engine (bit-identical
-  /// results, untouched code path); 0 = unbounded (drain the whole queue).
+  /// Train length: one scheduling decision drains up to `batch_size` tuples
+  /// from the picked unit and runs them through the segment as a train, so
+  /// priority re-keys and the §9.2 overhead charge are amortized over the
+  /// whole batch (Aurora's train scheduling, the regime Figure 14
+  /// analyzes). Every dispatch is a train; 1 (the default) makes each a
+  /// train of one — the paper's per-tuple scheduling, pinned against a
+  /// plain per-tuple interpreter by tests/exec_batching_test.cc. 0 =
+  /// unbounded (drain the whole queue).
   int batch_size = 1;
-
-  /// Optional time-quantum budget: when > 0, a train is additionally capped
-  /// at floor(batch_quantum / expected segment cost) tuples (minimum 1).
-  /// Any positive value engages the batched dispatcher even at
-  /// batch_size = 1, which is how the equivalence tests drive the train
-  /// path with per-tuple semantics.
-  SimTime batch_quantum = 0.0;
 
   /// Columnar (SoA) kernel execution of batched chain trains: the train's
   /// arrival attributes / ids / timestamps are gathered once into
@@ -114,7 +105,7 @@ struct EngineConfig {
   /// to the scalar selection-vector pass — clock, counters, QoS, frozen
   /// filter draws (pinned by tests/exec_kernel_test.cc) — so the flag only
   /// selects an execution strategy; off measures the scalar engine floor.
-  /// Engages only with the batched dispatcher; traced runs always take the
+  /// Engages only on trains longer than one; traced runs always take the
   /// scalar pass (they need per-invocation events).
   bool use_columnar_kernels = true;
 
@@ -129,12 +120,17 @@ struct EngineConfig {
   sched::CalibrationConfig calibration;
 
   /// Mid-run statistics drift of a query subset (stream/drift.h) — the
-  /// scenario calibration exists for. Requires the per-tuple dispatcher
-  /// (trains mix arrival times inside one clock charge), no sharing groups,
+  /// scenario calibration exists for. Requires batch_size 1 (a longer
+  /// train mixes arrival times inside one clock charge), no sharing groups,
   /// and single-stream queries only (checked). Off by default; off is
   /// byte-identical (the scale factors are exactly 1.0 and never computed).
   stream::DriftConfig drift;
 };
+
+/// Queue lengths are small integers: first bucket edge at 1 tuple. A named
+/// constant rather than a braced temporary in the member initializers below
+/// (GCC 12 flags the temporary under -Wdangling-pointer once inlined).
+inline constexpr obs::HistogramOptions kQueueLengthHistogram{.min_value = 1.0};
 
 /// Execution counters of one run.
 struct RunCounters {
@@ -152,10 +148,10 @@ struct RunCounters {
   int64_t decision_candidates = 0;
   int64_t priority_computations = 0;
 
-  /// Batched execution only (all zero on the per-tuple path, and the report
-  /// writer omits them then so default-path JSON is byte-identical):
-  /// dispatches of the train path, tuples they drained, and the largest
-  /// single train.
+  /// Train shape: dispatches, tuples they drained, and the largest single
+  /// train. Every dispatch counts (at batch_size 1 each is a train of one);
+  /// the report writer omits them unless some train drained more than one
+  /// tuple, so batch_size 1 JSON stays byte-identical.
   int64_t train_dispatches = 0;
   int64_t train_tuples = 0;
   int64_t max_train_tuples = 0;
@@ -198,7 +194,7 @@ struct RunCounters {
   /// counters merge exactly: quantiles are pure functions of the merged
   /// buckets, so Merge can rebuild the summaries from combined counts
   /// instead of approximating from pre-digested quantiles.
-  obs::Histogram queue_length_hist{{.min_value = 1.0}};
+  obs::Histogram queue_length_hist{kQueueLengthHistogram};
   obs::Histogram exec_busy_hist;
 
   /// Sampled response-time decomposition (empty when sampling is disabled).
@@ -314,24 +310,32 @@ class Engine {
 
   const sched::UnitTable& units() const { return built_.units; }
 
+  /// Static shard mode (core/sharded_dsms.cc): the engine runs a sub-plan
+  /// whose query ids are dense local ids; `global_ids[local]` is each
+  /// query's id in the full plan. Frozen filter and join draws and drift
+  /// membership key on the global id, so every tuple meets the same
+  /// outcomes as in the unsharded run. Call before Begin; without it the
+  /// plan's own ids are used.
+  void SetGlobalQueryIds(std::vector<int32_t> global_ids);
+
  private:
   void DeliverArrivalsUpTo(SimTime time);
   /// `arrival` is the *index* into the engine's arrival table (queue entries
   /// carry indexes; Arrival::id stays global — see sched/unit.h).
   void Enqueue(int unit, stream::ArrivalId arrival, SimTime arrival_time);
-  void ExecuteUnit(int unit_id);
 
-  /// Batched path: number of head entries the next train on `unit` drains
-  /// (>= 1; capped by batch_size, the batch_quantum budget, and the queue).
-  size_t TrainLength(const sched::Unit& unit) const;
-  /// Batched path counterpart of ExecuteUnit: drains TrainLength entries in
-  /// one dispatch and runs them as a train. Per-tuple semantics (timestamps,
-  /// QoS, filter outcomes) are preserved; only the dispatch is amortized.
+  /// The engine's one dispatcher: drains min(batch_size, queue depth) head
+  /// entries of the picked unit (the whole queue when batch_size is 0) and
+  /// runs them as a train. The scheduler reconciliation, counters,
+  /// calibrator tap, busy sample and segment-run event happen once per
+  /// dispatch. Per-tuple semantics (timestamps, QoS, filter outcomes) are
+  /// preserved; only the dispatch is amortized.
   void ExecuteUnitTrain(int unit_id);
-  /// Runs the train through a chain segment (kQueryChain / kRemainder) with
-  /// a selection-vector pass: operator-at-a-time over the surviving run,
-  /// compacting survivors in place. Safe because filter outcomes are frozen
-  /// per (arrival, query, ordinal) — evaluation order cannot change them.
+  /// Runs a train of two or more through a chain segment (kQueryChain /
+  /// kRemainder) with a selection-vector pass: operator-at-a-time over the
+  /// surviving run, compacting survivors in place. Safe because filter
+  /// outcomes are frozen per (arrival, query, ordinal) — evaluation order
+  /// cannot change them. Trains of one take ExecuteChainTuple.
   void ExecuteChainTrain(const sched::Unit& unit, size_t count);
 
   /// Columnar counterpart of ExecuteChainTrain: runs the gathered column
@@ -357,9 +361,8 @@ class Engine {
   /// operator instead of per tuple — this is what lets the columnar kernels
   /// replay a fused run in O(ops) instead of O(invocations). At
   /// invocations == 1 the arithmetic is bit-identical to Charge(cost)
-  /// (cost * 1.0 is exact), which keeps forced trains-of-one byte-equal to
-  /// the per-tuple engine. Both batched paths (scalar train and columnar)
-  /// use this identically, so the flag stays bit-inert.
+  /// (cost * 1.0 is exact). The scalar and columnar train passes charge
+  /// identically, so use_columnar_kernels stays bit-inert.
   void ChargeBulk(SimTime cost, int64_t invocations);
 
   /// Whether `op` (the op_ordinal-th operator of query q) passes `arrival`.
@@ -391,12 +394,15 @@ class Engine {
   void AttributeEmission(int64_t arrival, SimTime arrival_time,
                          SimTime dependency_delay);
 
-  void ExecuteQueryChain(const sched::Unit& unit,
+  /// A one-tuple chain train (kQueryChain / kRemainder): RunChainOps +
+  /// EmitSingle from the unit's first operator — the selection-vector
+  /// pass's own count-1 sequence, without its setup. The only chain path
+  /// the drift factors reach (Passes reads sel_scale_; drift requires
+  /// batch_size 1).
+  void ExecuteChainTuple(const sched::Unit& unit,
                          const sched::QueueEntry& entry);
   void ExecuteSharedGroup(const sched::Unit& unit,
                           const sched::QueueEntry& entry);
-  void ExecuteRemainder(const sched::Unit& unit,
-                        const sched::QueueEntry& entry);
   void ExecuteOperator(const sched::Unit& unit,
                        const sched::QueueEntry& entry);
   /// Runs join input `input` (0 = left stream, 1 = right stream of the base
@@ -439,6 +445,9 @@ class Engine {
   std::unique_ptr<StatsMonitor> stats_monitor_;
   /// Present when config_.calibration.enabled.
   std::unique_ptr<sched::CostCalibrator> calibrator_;
+  /// Query id keying frozen draws and drift membership, per plan query id
+  /// (identity unless SetGlobalQueryIds renumbered it).
+  std::vector<int32_t> global_query_id_;
   /// Leaf unit ids per stream id.
   std::vector<std::vector<int>> leaf_units_of_stream_;
   /// Window-join state per query and stage (empty for single-stream
@@ -469,10 +478,6 @@ class Engine {
   bool ran_ = false;
   /// Scratch buffer reused across scheduling points.
   std::vector<int> picked_;
-  /// Batched dispatcher engaged (batch_size != 1 or batch_quantum > 0);
-  /// false keeps the per-tuple path bit-identical to the pre-batching
-  /// engine.
-  bool batching_ = false;
   /// Load shedding engaged (config_.shed.enabled); false keeps
   /// DeliverArrivalsUpTo bit-identical to the pre-shedding engine.
   bool shedding_ = false;
@@ -549,8 +554,9 @@ class Engine {
 
   /// Indexed by unit id; sized (and consulted) only when columnar_.
   std::vector<UnitKernelPlan> unit_kernels_;
-  /// Columnar path engaged: use_columnar_kernels && batched dispatcher &&
-  /// no tracer (the tracer wants per-invocation events in clock order).
+  /// Columnar path engaged: use_columnar_kernels && batch_size != 1 (trains
+  /// of one take ExecuteChainTuple) && no tracer (the tracer wants
+  /// per-invocation events in clock order).
   bool columnar_ = false;
   /// Arena backing the column scratch; reset and re-carved on growth.
   Arena column_arena_;
@@ -586,19 +592,18 @@ class Engine {
   /// Live-telemetry cell (null = disabled; the hot-loop check is one branch
   /// on this pointer, same as tracer_).
   obs::SnapshotCell* telemetry_ = nullptr;
-  /// Publish every (mask+1) scheduling points; power-of-two minus one.
-  uint64_t telemetry_mask_ = 0;
+  /// Publish every 16th scheduling point (the mask tests the count).
+  static constexpr uint64_t kTelemetryMask = 15;
   /// Slowdown accumulators feeding the cell (only maintained when a cell is
   /// attached — emission sites branch on telemetry_).
   double telemetry_slowdown_sum_ = 0.0;
   int64_t telemetry_slowdown_count_ = 0;
   double telemetry_max_slowdown_ = 0.0;
-  /// Queue lengths are small integers: first bucket edge at 1 tuple.
-  obs::Histogram queue_len_hist_{{.min_value = 1.0}};
+  obs::Histogram queue_len_hist_{kQueueLengthHistogram};
   obs::Histogram exec_busy_hist_;
   obs::StageAttribution attribution_;
   /// Unit/query of the execution in progress (trace context for operator
-  /// invocations and join probes); -1 outside ExecuteUnit.
+  /// invocations and join probes); -1 outside ExecuteUnitTrain.
   int32_t cur_unit_ = -1;
   int32_t cur_query_ = -1;
   /// Clock when the execution in progress began, and the scheduling overhead

@@ -164,7 +164,11 @@ std::string ChromeTraceJson(const std::vector<TraceEvent>& events,
   const int64_t query_base =
       meta.num_shards > 1 ? int64_t{2} * meta.num_shards : kQueryTidBase;
   for (int q = 0; q < meta.num_queries; ++q) {
-    WriteThreadName(json, query_base + q, "Q" + std::to_string(q));
+    // Appended rather than `"Q" + std::to_string(q)`: GCC 12 reports a
+    // spurious -Wrestrict on that operator+ overload once inlined.
+    std::string name = "Q";
+    name += std::to_string(q);
+    WriteThreadName(json, query_base + q, name);
   }
   for (const TraceEvent& event : events) {
     WriteEvent(json, event, meta.num_shards);

@@ -29,7 +29,7 @@ namespace aqsios::sched {
 
 /// First-come-first-served over system arrival order. Entries are served in
 /// global enqueue order, which coincides with arrival order for leaf queues.
-class FcfsScheduler : public Scheduler {
+class FcfsScheduler final : public Scheduler {
  public:
   void Attach(const UnitTable* units) override;
   void OnEnqueue(int unit) override;
@@ -62,7 +62,7 @@ class FcfsScheduler : public Scheduler {
 /// The pick is an ordered-ready-set lower_bound with wraparound rather than
 /// a modular cursor scan; the visit order — and therefore the pick sequence
 /// and the reported candidates count — is identical to the scan's.
-class RoundRobinScheduler : public Scheduler {
+class RoundRobinScheduler final : public Scheduler {
  public:
   void Attach(const UnitTable* units) override;
   void OnEnqueue(int unit) override;
@@ -92,7 +92,7 @@ enum class StaticPolicy { kSrpt, kHr, kHnr, kChain };
 /// per unit, so the ready set is a bitmap over ranks: O(1)-ish per event,
 /// allocation-free, same pick order as the rank-ordered std::set it
 /// replaced.
-class StaticPriorityScheduler : public Scheduler {
+class StaticPriorityScheduler final : public Scheduler {
  public:
   explicit StaticPriorityScheduler(StaticPolicy policy) : policy_(policy) {}
 
@@ -133,7 +133,7 @@ class StaticPriorityScheduler : public Scheduler {
 /// Longest Stretch First (Eq. 5): max W/T among ready units. The ordering is
 /// time-varying; picks are answered by a kinetic index (default) or the
 /// naive per-pick scan — identical results either way.
-class LsfScheduler : public Scheduler {
+class LsfScheduler final : public Scheduler {
  public:
   explicit LsfScheduler(bool use_kinetic_index = true)
       : use_kinetic_(use_kinetic_index) {}
@@ -178,7 +178,7 @@ class LsfScheduler : public Scheduler {
 /// ready units are counted. The *hypothetical* BSD of §9.2 is this scheduler
 /// with engine-side overhead charging disabled. Like LSF, the pick itself is
 /// kinetic by default; the simulated charges are unaffected.
-class BsdScheduler : public Scheduler {
+class BsdScheduler final : public Scheduler {
  public:
   explicit BsdScheduler(bool count_all_units = true,
                         bool use_kinetic_index = true)

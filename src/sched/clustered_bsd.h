@@ -44,7 +44,7 @@ struct ClusteredBsdOptions {
   bool use_kinetic_index = true;
 };
 
-class ClusteredBsdScheduler : public Scheduler {
+class ClusteredBsdScheduler final : public Scheduler {
  public:
   explicit ClusteredBsdScheduler(const ClusteredBsdOptions& options);
 

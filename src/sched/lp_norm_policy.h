@@ -25,7 +25,7 @@
 
 namespace aqsios::sched {
 
-class LpNormScheduler : public Scheduler {
+class LpNormScheduler final : public Scheduler {
  public:
   /// p must be >= 1. p=1 ~ HNR, p=2 ~ BSD.
   explicit LpNormScheduler(double p);

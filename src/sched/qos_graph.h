@@ -61,7 +61,7 @@ struct QosGraphOptions {
 };
 
 /// Aurora's QoS-aware scheduler over the default (stretch-derived) graphs.
-class QosGraphScheduler : public Scheduler {
+class QosGraphScheduler final : public Scheduler {
  public:
   explicit QosGraphScheduler(const QosGraphOptions& options);
 

@@ -16,7 +16,7 @@
 
 namespace aqsios::sched {
 
-class TwoLevelRrScheduler : public Scheduler {
+class TwoLevelRrScheduler final : public Scheduler {
  public:
   void Attach(const UnitTable* units) override;
   void OnEnqueue(int unit) override;

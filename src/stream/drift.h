@@ -20,23 +20,17 @@
 #ifndef AQSIOS_STREAM_DRIFT_H_
 #define AQSIOS_STREAM_DRIFT_H_
 
-#include <cstdint>
-#include <vector>
-
 #include "common/sim_time.h"
 
 namespace aqsios::stream {
 
 struct DriftConfig {
   bool enabled = false;
-  /// Queries with `id % modulo == phase` drift; the rest stay static.
+  /// Queries with `id % modulo == phase` drift; the rest stay static. The
+  /// id is the query's id in the full plan: a static shard's engine maps
+  /// its local dense ids back (exec::Engine::SetGlobalQueryIds).
   int modulo = 2;
   int phase = 0;
-  /// Optional explicit membership override, indexed by query id; when
-  /// non-empty it replaces the modulo rule. The sharded runner fills this
-  /// per shard from the *global* ids so `modulo` keeps its whole-population
-  /// meaning even though each engine sees local dense ids.
-  std::vector<uint8_t> applies;
   /// Virtual time the drift begins.
   SimTime step_time = 0.0;
   /// Linear ramp duration from factor 1 to the target (0 = hard step).
@@ -50,10 +44,6 @@ struct DriftConfig {
 
   bool AppliesTo(int query) const {
     if (!enabled) return false;
-    if (!applies.empty()) {
-      return query >= 0 && query < static_cast<int>(applies.size()) &&
-             applies[static_cast<size_t>(query)] != 0;
-    }
     return modulo > 0 && query % modulo == phase;
   }
 

@@ -24,7 +24,9 @@ namespace {
 
 query::Workload Testbed(int queries, int64_t arrivals,
                         bool multi_stream = false,
-                        int sharing_group_size = 0) {
+                        int sharing_group_size = 0,
+                        query::SelectivityMode mode =
+                            query::SelectivityMode::kCorrelatedAttribute) {
   query::WorkloadConfig config;
   config.num_queries = queries;
   config.num_arrivals = arrivals;
@@ -32,6 +34,7 @@ query::Workload Testbed(int queries, int64_t arrivals,
   config.utilization = 0.9;
   config.multi_stream = multi_stream;
   config.sharing_group_size = sharing_group_size;
+  config.selectivity_mode = mode;
   return query::GenerateWorkload(config);
 }
 
@@ -97,20 +100,36 @@ TEST(ShardedDsmsTest, RepeatedRunsAndThreadCountsAreIdentical) {
 }
 
 TEST(ShardedDsmsTest, EmissionsAreScheduleInvariantAcrossShardCounts) {
-  const query::Workload workload = Testbed(40, 4000);
-  const RunResult classic = Simulate(workload, Policy(sched::PolicyKind::kHnr),
-                                     FullOptions(/*shards=*/1));
-  for (const int shards : {2, 4, 8}) {
-    const ShardedRunResult run = SimulateSharded(
-        workload, Policy(sched::PolicyKind::kHnr), FullOptions(shards));
-    // Frozen draws key on global ids, which sharding preserves: what gets
-    // emitted/filtered never depends on the schedule, only *when* does.
-    EXPECT_EQ(run.result.qos.tuples_emitted, classic.qos.tuples_emitted)
-        << "shards=" << shards;
-    EXPECT_EQ(run.result.counters.tuples_filtered,
-              classic.counters.tuples_filtered);
-    EXPECT_EQ(run.result.counters.tuples_emitted,
-              classic.counters.tuples_emitted);
+  // Correlated plans realize selectivity as an attribute threshold; the
+  // independent ones take frozen per-(arrival, query, operator) draws,
+  // which must key on the *global* query id a shard's sub-plan renumbers.
+  for (const query::SelectivityMode mode :
+       {query::SelectivityMode::kCorrelatedAttribute,
+        query::SelectivityMode::kIndependent}) {
+    const query::Workload workload = Testbed(40, 4000, /*multi_stream=*/false,
+                                             /*sharing_group_size=*/0, mode);
+    const RunResult classic =
+        Simulate(workload, Policy(sched::PolicyKind::kHnr),
+                 FullOptions(/*shards=*/1));
+    for (const int shards : {2, 4, 8}) {
+      const ShardedRunResult run = SimulateSharded(
+          workload, Policy(sched::PolicyKind::kHnr), FullOptions(shards));
+      // Frozen draws key on global ids, which sharding preserves: what gets
+      // emitted/filtered never depends on the schedule, only *when* does.
+      const std::string what =
+          std::string(mode == query::SelectivityMode::kIndependent
+                          ? "independent"
+                          : "correlated") +
+          " shards=" + std::to_string(shards);
+      EXPECT_EQ(run.result.qos.tuples_emitted, classic.qos.tuples_emitted)
+          << what;
+      EXPECT_EQ(run.result.counters.tuples_filtered,
+                classic.counters.tuples_filtered)
+          << what;
+      EXPECT_EQ(run.result.counters.tuples_emitted,
+                classic.counters.tuples_emitted)
+          << what;
+    }
   }
 }
 

@@ -1,10 +1,14 @@
 // Tuple-train batching: equivalence and amortization guarantees.
 //
-// The batched dispatcher is only allowed to change *when* decisions happen,
-// never *what* a tuple experiences beyond that:
-//  * with the train path forced at train length 1 (a vanishingly small
-//    batch_quantum), every policy must reproduce the per-tuple engine's
-//    results exactly — same emissions, same response moments, same clock;
+// The engine has one dispatcher; batch_size only sets how many head tuples
+// a dispatch drains. Batching may change *when* decisions happen, never
+// *what* a tuple experiences beyond that:
+//  * at batch_size 1 every dispatch is a train of one, and the engine must
+//    reproduce a plain per-tuple interpreter (tests/reference_interpreter.h)
+//    exactly — same ordered emissions with the same response moments, same
+//    counters and clock — for every policy, both selectivity modes, query-
+//    and operator-level units, sharing groups with PDT remainders, §9.2
+//    overhead charging, and statistics drift;
 //  * the default batch_size=1 must serialize byte-identically to an
 //    explicit batch_size=1 (the committed BENCH_sweep.json stays pinned);
 //  * on a single-query one-operator workload with zero overhead cost,
@@ -15,13 +19,16 @@
 //  * under §9.2 overhead charging, batching must actually amortize: fewer
 //    scheduling points, less charged overhead time.
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/dsms.h"
 #include "core/report.h"
+#include "exec/unit_builder.h"
 #include "query/workload.h"
+#include "reference_interpreter.h"
 
 namespace aqsios::core {
 namespace {
@@ -35,104 +42,182 @@ const sched::PolicyKind kAllPolicies[] = {
     sched::PolicyKind::kLpNorm,      sched::PolicyKind::kQosGraph,
 };
 
-query::Workload TestWorkload(uint64_t seed, bool multi_stream = false) {
+const query::SelectivityMode kBothModes[] = {
+    query::SelectivityMode::kCorrelatedAttribute,
+    query::SelectivityMode::kIndependent,
+};
+
+query::WorkloadConfig TestConfig(uint64_t seed) {
   query::WorkloadConfig config;
   config.num_queries = 20;
   config.num_arrivals = 3000;
   config.utilization = 0.9;
   config.seed = seed;
-  config.multi_stream = multi_stream;
-  return query::GenerateWorkload(config);
+  return config;
 }
 
-void ExpectSameRun(const RunResult& a, const RunResult& b,
-                   const std::string& what) {
-  EXPECT_EQ(a.qos.tuples_emitted, b.qos.tuples_emitted) << what;
-  EXPECT_EQ(a.qos.avg_response, b.qos.avg_response) << what;
-  EXPECT_EQ(a.qos.avg_slowdown, b.qos.avg_slowdown) << what;
-  EXPECT_EQ(a.qos.max_slowdown, b.qos.max_slowdown) << what;
-  EXPECT_EQ(a.qos.l2_slowdown, b.qos.l2_slowdown) << what;
-  EXPECT_EQ(a.counters.busy_time, b.counters.busy_time) << what;
-  EXPECT_EQ(a.counters.end_time, b.counters.end_time) << what;
-  EXPECT_EQ(a.counters.overhead_time, b.counters.overhead_time) << what;
-  EXPECT_EQ(a.counters.scheduling_points, b.counters.scheduling_points)
-      << what;
-  EXPECT_EQ(a.counters.unit_executions, b.counters.unit_executions) << what;
-  EXPECT_EQ(a.counters.tuples_filtered, b.counters.tuples_filtered) << what;
-  EXPECT_EQ(a.counters.operator_invocations, b.counters.operator_invocations)
-      << what;
+query::Workload TestWorkload(uint64_t seed) {
+  return query::GenerateWorkload(TestConfig(seed));
+}
+
+std::string Label(sched::PolicyKind kind, query::SelectivityMode mode) {
+  return std::string(sched::PolicyKindName(kind)) +
+         (mode == query::SelectivityMode::kIndependent ? "/independent"
+                                                       : "/correlated");
+}
+
+// Runs `workload` through the engine at batch_size 1 (with `options`) and
+// through the reference interpreter under the same configuration, and
+// requires the two to agree exactly: every emission in order, and the core
+// counters.
+void ExpectMatchesReference(const query::Workload& workload,
+                            sched::PolicyKind kind,
+                            const SimulationOptions& options,
+                            const std::string& what) {
+  const sched::PolicyConfig policy = sched::PolicyConfig::Of(kind);
+  SimulationOptions engine_options = options;
+  engine_options.qos.track_outputs = true;
+  const RunResult engine = Simulate(workload, policy, engine_options);
+
+  reference::Options ref_options;
+  ref_options.level = options.level;
+  ref_options.sharing_strategy = options.sharing_strategy;
+  ref_options.sharing_objective = ObjectiveForPolicy(kind);
+  ref_options.overhead_op_cost = options.charge_scheduling_overhead
+                                     ? workload.plan.MinOperatorCost()
+                                     : 0.0;
+  ref_options.drift = options.drift;
+  const reference::Run ref =
+      reference::Interpreter(workload.plan, workload.arrivals, policy,
+                             ref_options)
+          .Execute();
+
+  const exec::RunCounters& c = engine.counters;
+  ASSERT_GT(ref.tuples_emitted, 0) << what;
+  ASSERT_EQ(engine.qos.outputs.size(), ref.outputs.size()) << what;
+  for (size_t i = 0; i < ref.outputs.size(); ++i) {
+    const metrics::OutputRecord& want = ref.outputs[i];
+    const metrics::OutputRecord& got = engine.qos.outputs[i];
+    ASSERT_EQ(got.query, want.query) << what << " output " << i;
+    ASSERT_EQ(got.arrival_time, want.arrival_time) << what << " output " << i;
+    ASSERT_EQ(got.response, want.response) << what << " output " << i;
+    ASSERT_EQ(got.slowdown, want.slowdown) << what << " output " << i;
+  }
+  EXPECT_EQ(c.scheduling_points, ref.scheduling_points) << what;
+  EXPECT_EQ(c.unit_executions, ref.unit_executions) << what;
+  EXPECT_EQ(c.operator_invocations, ref.operator_invocations) << what;
+  EXPECT_EQ(c.tuples_emitted, ref.tuples_emitted) << what;
+  EXPECT_EQ(c.tuples_filtered, ref.tuples_filtered) << what;
+  EXPECT_EQ(c.overhead_operations, ref.overhead_operations) << what;
+  EXPECT_EQ(c.peak_queued_tuples, ref.peak_queued_tuples) << what;
+  EXPECT_EQ(c.busy_time, ref.busy_time) << what;
+  EXPECT_EQ(c.overhead_time, ref.overhead_time) << what;
+  EXPECT_EQ(c.end_time, ref.end_time) << what;
+  // Every dispatch drained exactly one tuple.
+  EXPECT_EQ(c.max_train_tuples, 1) << what;
+  EXPECT_EQ(c.train_dispatches, c.unit_executions) << what;
 }
 
 class BatchingEquivalenceTest : public testing::TestWithParam<uint64_t> {};
 
-// A vanishingly small batch_quantum caps every train at one tuple while
-// still routing dispatch through the batched code path — the per-tuple and
-// train-of-one engines must be indistinguishable for every policy.
 TEST_P(BatchingEquivalenceTest, TrainOfOneMatchesPerTupleForEveryPolicy) {
-  const query::Workload workload = TestWorkload(GetParam());
-  for (const sched::PolicyKind kind : kAllPolicies) {
-    const sched::PolicyConfig policy = sched::PolicyConfig::Of(kind);
-    const RunResult per_tuple = Simulate(workload, policy);
-    SimulationOptions forced;
-    forced.batch_quantum = 1e-300;
-    const RunResult train = Simulate(workload, policy, forced);
-    EXPECT_GT(train.counters.train_dispatches, 0)
-        << sched::PolicyKindName(kind) << ": batched path not engaged";
-    EXPECT_EQ(train.counters.max_train_tuples, 1)
-        << sched::PolicyKindName(kind);
-    ExpectSameRun(per_tuple, train, sched::PolicyKindName(kind));
+  for (const query::SelectivityMode mode : kBothModes) {
+    query::WorkloadConfig config = TestConfig(GetParam());
+    config.selectivity_mode = mode;
+    const query::Workload workload = query::GenerateWorkload(config);
+    for (const sched::PolicyKind kind : kAllPolicies) {
+      ExpectMatchesReference(workload, kind, {}, Label(kind, mode));
+    }
   }
 }
 
 TEST_P(BatchingEquivalenceTest, TrainOfOneMatchesPerTupleWithOverhead) {
-  const query::Workload workload = TestWorkload(GetParam());
-  for (const sched::PolicyKind kind :
-       {sched::PolicyKind::kLsf, sched::PolicyKind::kBsd,
-        sched::PolicyKind::kBsdClustered}) {
-    const sched::PolicyConfig policy = sched::PolicyConfig::Of(kind);
-    SimulationOptions charged;
-    charged.charge_scheduling_overhead = true;
-    const RunResult per_tuple = Simulate(workload, policy, charged);
-    SimulationOptions forced = charged;
-    forced.batch_quantum = 1e-300;
-    const RunResult train = Simulate(workload, policy, forced);
-    ExpectSameRun(per_tuple, train, sched::PolicyKindName(kind));
+  SimulationOptions charged;
+  charged.charge_scheduling_overhead = true;
+  for (const query::SelectivityMode mode : kBothModes) {
+    query::WorkloadConfig config = TestConfig(GetParam());
+    config.selectivity_mode = mode;
+    const query::Workload workload = query::GenerateWorkload(config);
+    for (const sched::PolicyKind kind : kAllPolicies) {
+      ExpectMatchesReference(workload, kind, charged,
+                             Label(kind, mode) + "/overhead");
+    }
   }
 }
 
 TEST_P(BatchingEquivalenceTest, TrainOfOneMatchesAtOperatorLevel) {
-  const query::Workload workload = TestWorkload(GetParam());
-  for (const sched::PolicyKind kind :
-       {sched::PolicyKind::kHnr, sched::PolicyKind::kBsd}) {
-    const sched::PolicyConfig policy = sched::PolicyConfig::Of(kind);
-    SimulationOptions options;
-    options.level = exec::SchedulingLevel::kOperatorLevel;
-    const RunResult per_tuple = Simulate(workload, policy, options);
-    SimulationOptions forced = options;
-    forced.batch_quantum = 1e-300;
-    const RunResult train = Simulate(workload, policy, forced);
-    ExpectSameRun(per_tuple, train,
-                  std::string(sched::PolicyKindName(kind)) + "/op-level");
+  SimulationOptions options;
+  options.level = exec::SchedulingLevel::kOperatorLevel;
+  for (const query::SelectivityMode mode : kBothModes) {
+    query::WorkloadConfig config = TestConfig(GetParam());
+    config.selectivity_mode = mode;
+    // Stale statistics: execution draws on the actual selectivities while
+    // the priorities use the assumed ones.
+    config.selectivity_misestimation = 0.3;
+    const query::Workload workload = query::GenerateWorkload(config);
+    for (const sched::PolicyKind kind : kAllPolicies) {
+      ExpectMatchesReference(workload, kind, options,
+                             Label(kind, mode) + "/op-level");
+    }
   }
 }
 
-TEST_P(BatchingEquivalenceTest, TrainOfOneMatchesOnWindowJoins) {
-  const query::Workload workload =
-      TestWorkload(GetParam(), /*multi_stream=*/true);
-  for (const sched::PolicyKind kind :
-       {sched::PolicyKind::kHnr, sched::PolicyKind::kLsf}) {
-    const sched::PolicyConfig policy = sched::PolicyConfig::Of(kind);
-    const RunResult per_tuple = Simulate(workload, policy);
-    SimulationOptions forced;
-    forced.batch_quantum = 1e-300;
-    const RunResult train = Simulate(workload, policy, forced);
-    ExpectSameRun(per_tuple, train,
-                  std::string(sched::PolicyKindName(kind)) + "/joins");
+TEST_P(BatchingEquivalenceTest, TrainOfOneMatchesWithSharedRemainders) {
+  for (const query::SelectivityMode mode : kBothModes) {
+    query::WorkloadConfig config = TestConfig(GetParam());
+    config.selectivity_mode = mode;
+    config.sharing_group_size = 5;
+    const query::Workload workload = query::GenerateWorkload(config);
+    for (const sched::PolicyKind kind : kAllPolicies) {
+      ExpectMatchesReference(workload, kind, {},
+                             Label(kind, mode) + "/sharing");
+    }
+  }
+}
+
+TEST_P(BatchingEquivalenceTest, TrainOfOneMatchesUnderDrift) {
+  SimulationOptions options;
+  options.drift.enabled = true;
+  options.drift.cost_factor = 3.0;
+  options.drift.selectivity_factor = 0.7;
+  for (const query::SelectivityMode mode : kBothModes) {
+    query::WorkloadConfig config = TestConfig(GetParam());
+    config.selectivity_mode = mode;
+    config.utilization = 0.4;
+    const query::Workload workload = query::GenerateWorkload(config);
+    const SimTime span = workload.arrivals.arrivals.back().time;
+    options.drift.step_time = 0.3 * span;
+    options.drift.ramp_seconds = 0.1 * span;
+    for (const sched::PolicyKind kind : kAllPolicies) {
+      ExpectMatchesReference(workload, kind, options,
+                             Label(kind, mode) + "/drift");
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchingEquivalenceTest,
                          testing::Values(1u, 7u, 42u));
+
+// The sharing cells above exercise PDT remainders only if the plans have
+// some: at least one seed's PDT split must exclude a member segment.
+TEST(BatchingEquivalenceCoverageTest, SharingWorkloadsHavePdtRemainders) {
+  int remainder_units = 0;
+  for (const uint64_t seed : {1u, 7u, 42u}) {
+    query::WorkloadConfig config = TestConfig(seed);
+    config.sharing_group_size = 5;
+    const query::Workload workload = query::GenerateWorkload(config);
+    for (const sched::SharingObjective objective :
+         {sched::SharingObjective::kHnr, sched::SharingObjective::kBsd}) {
+      exec::UnitBuilderOptions build;
+      build.sharing_objective = objective;
+      for (const sched::Unit& unit :
+           exec::BuildUnits(workload.plan, build).units) {
+        if (unit.kind == sched::UnitKind::kRemainder) ++remainder_units;
+      }
+    }
+  }
+  EXPECT_GT(remainder_units, 0);
+}
 
 // batch_size=1 (the default) must not merely be equivalent — it must be the
 // *same engine*, serializing byte-for-byte identically. This is what pins
@@ -147,7 +232,7 @@ TEST(BatchingDefaultTest, ExplicitBatchSizeOneSerializesIdentically) {
     SimulationOptions explicit_one;
     explicit_one.batch_size = 1;
     const RunResult explicit_run = Simulate(workload, policy, explicit_one);
-    EXPECT_EQ(implicit.counters.train_dispatches, 0)
+    EXPECT_EQ(implicit.counters.max_train_tuples, 1)
         << sched::PolicyKindName(kind);
     EXPECT_EQ(RunResultToJson(implicit), RunResultToJson(explicit_run))
         << sched::PolicyKindName(kind);
@@ -262,28 +347,6 @@ TEST(BatchingAmortizationTest, FewerDecisionsAndLessOverheadCharged) {
     EXPECT_LE(r.qos.avg_response, per_tuple.qos.avg_response)
         << what << ": amortization did not help under overload";
   }
-}
-
-// The quantum knob: with batch_size unbounded, a quantum of a few expected
-// costs caps train length by simulated-time budget instead of tuple count.
-TEST(BatchingQuantumTest, QuantumBoundsTrainsByExpectedCost) {
-  const query::Workload workload = TestWorkload(42);
-  const sched::PolicyConfig policy =
-      sched::PolicyConfig::Of(sched::PolicyKind::kBsd);
-  SimulationOptions unbounded;
-  unbounded.batch_size = 0;
-  const RunResult free_run = Simulate(workload, policy, unbounded);
-  ASSERT_GT(free_run.counters.max_train_tuples, 4);
-
-  SimulationOptions quantum = unbounded;
-  // The workload's cheapest operator cost bounds expected unit cost below,
-  // so a tiny multiple of it keeps trains far shorter than the unbounded
-  // run's deepest drain.
-  quantum.batch_quantum = 2.0 * workload.plan.MinOperatorCost();
-  const RunResult bounded = Simulate(workload, policy, quantum);
-  EXPECT_LT(bounded.counters.max_train_tuples,
-            free_run.counters.max_train_tuples);
-  EXPECT_EQ(bounded.qos.tuples_emitted, free_run.qos.tuples_emitted);
 }
 
 }  // namespace
