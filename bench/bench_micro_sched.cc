@@ -8,24 +8,35 @@
 // Schema (aqsios-bench-perf/1):
 //   {
 //     "schema": "aqsios-bench-perf/1",
+//     "mode": "full" | "quick",
 //     "queries": N, "arrivals": N, "seed": N, "reps": N,
 //     "total_wall_ms": W,
 //     "benchmarks": [
 //       { "name": "pick/lsf/n=60/kinetic=on", "ns_per_op": X,
-//         "ops": N, "wall_ms": W }, ...
+//         "ops": N, "wall_ms": W, "evals_per_pick": E }, ...
 //     ]
 //   }
 // Each benchmark runs `reps` times and reports the fastest repetition
 // (minimum is the standard noise-robust statistic for micro-benchmarks on a
-// shared machine); ns_per_op = wall / ops of that repetition.
+// shared machine); ns_per_op = wall / ops of that repetition. "mode" records
+// whether --quick shrank the cells (quick cells reuse the full-mode names,
+// so scripts/perf_compare.py refuses to diff reports of different modes
+// unless told to).
 //
 // The suite covers:
-//  * pick/<policy>/n=<units>/kinetic=<on|off> — steady-state PickNext churn
-//    against a synthetic ready set. n=60 exercises the kinetic index's dense
-//    small-n mode, n=500 its tournament tree (the O(log n) vs O(n)
-//    separation shows up as kinetic=on scaling far better from 60 to 500
-//    than kinetic=off). The on/off pick sequences are checksummed and must
-//    match exactly — the index is a drop-in replacement for the scan.
+//  * pick/<policy>/n=<units>[/anchors=shared]/kinetic=<on|off> —
+//    steady-state PickNext churn against a synthetic ready set. By default
+//    every re-enqueue lands at a fresh clock value, so all anchors (head
+//    arrival times) are distinct: n=60 stays within the kinetic index's
+//    bucket scan, n=500 exercises its tournament tree. The anchors=shared
+//    cells re-enqueue at an arrival time that advances only every
+//    kSharedAnchorGroup picks, the single-stream fan-out shape where
+//    hundreds of ready units share a few dozen anchors (bucket mode at
+//    n=500). The on/off pick sequences are checksummed and must match
+//    exactly — the index is a drop-in replacement for the scan. Each cell
+//    carries evals_per_pick, a deterministic work counter: priority lines
+//    evaluated per pick (KineticIndex::line_evaluations() for kinetic=on,
+//    one per ready candidate for the scan).
 //  * queue/... — TupleQueue (inline ring buffer) vs std::deque on the
 //    engine's shallow-queue churn pattern.
 //  * join/insert_probe — symmetric-hash-join insert+probe path.
@@ -60,6 +71,8 @@
 #include "core/report.h"
 #include "exec/window_join.h"
 #include "query/workload.h"
+#include "sched/basic_policies.h"
+#include "sched/clustered_bsd.h"
 #include "sched/policy.h"
 #include "sched/unit.h"
 
@@ -89,6 +102,9 @@ struct BenchResult {
   /// Wall-clock throughput (emitted tuples per second of host time, fastest
   /// repetition) for the kernel/ cells; 0 = not applicable, omitted.
   double tuples_per_wall_sec = 0.0;
+  /// pick/ cells of the priority policies: priority lines evaluated per
+  /// successful pick (deterministic); 0 = not applicable, omitted.
+  double evals_per_pick = 0.0;
   /// Columnar kernel/ cells only: wall-clock speedup over the paired scalar
   /// cell (scalar wall / columnar wall, fastest repetitions); 0 = not
   /// applicable, omitted. Gated by scripts/perf_compare.py.
@@ -137,44 +153,85 @@ sched::UnitTable MakeUnits(int n) {
   return units;
 }
 
-void FillQueues(sched::UnitTable& units, sched::Scheduler& scheduler) {
+/// Re-enqueues in the anchors=shared cells reuse one arrival time for this
+/// many consecutive picks. At n=500 the live anchors then number a few
+/// dozen (more under BSD, whose 1000:1 Φ spread leaves low-Φ units holding
+/// old anchors longer) — the range a 500-query single-stream run holds, and
+/// inside the index's bucket mode; the cells' evals_per_pick shows it.
+constexpr int64_t kSharedAnchorGroup = 100;
+
+/// Enqueues one tuple per unit; `anchor_group` consecutive units share an
+/// arrival time (1 = all distinct).
+void FillQueues(sched::UnitTable& units, sched::Scheduler& scheduler,
+                int64_t anchor_group) {
   for (size_t u = 0; u < units.size(); ++u) {
+    const int64_t group = static_cast<int64_t>(u) / anchor_group;
     units[u].queue.push_back(
-        sched::QueueEntry{static_cast<int64_t>(u), 0.001 * static_cast<double>(u)});
+        sched::QueueEntry{static_cast<int64_t>(u), 0.001 * static_cast<double>(group)});
     scheduler.OnEnqueue(static_cast<int>(u));
   }
 }
 
+/// Priority lines the scheduler's kinetic index has evaluated so far.
+int64_t IndexEvaluations(const sched::Scheduler& scheduler) {
+  if (const auto* lsf = dynamic_cast<const sched::LsfScheduler*>(&scheduler)) {
+    return lsf->index().line_evaluations();
+  }
+  if (const auto* bsd = dynamic_cast<const sched::BsdScheduler*>(&scheduler)) {
+    return bsd->index().line_evaluations();
+  }
+  if (const auto* clustered =
+          dynamic_cast<const sched::ClusteredBsdScheduler*>(&scheduler)) {
+    return clustered->index().line_evaluations();
+  }
+  return 0;
+}
+
+struct ChurnResult {
+  /// FNV-1a over the pick sequence, so kinetic on/off runs can be compared
+  /// for exact equality.
+  uint64_t checksum = 1469598103934665603ull;  // FNV offset basis
+  int64_t picks = 0;
+  /// Sum of the scan's candidate counts over all picks.
+  int64_t candidates = 0;
+};
+
 /// Steady-state pick churn: pick, dequeue the picked units, immediately
-/// re-enqueue them at the current clock. Returns a checksum of the pick
-/// sequence so kinetic on/off runs can be compared for exact equality.
-uint64_t PickChurn(sched::Scheduler& scheduler, sched::UnitTable& units,
-                   int64_t ops) {
-  FillQueues(units, scheduler);
+/// re-enqueue them. Re-enqueues are stamped with an arrival time that
+/// advances every `anchor_group` picks (1 = a fresh time per pick).
+ChurnResult PickChurn(sched::Scheduler& scheduler, sched::UnitTable& units,
+                      int64_t ops, int64_t anchor_group) {
+  FillQueues(units, scheduler, anchor_group);
   SimTime now = 1.0;
+  SimTime arrival = now;
   std::vector<int> out;
   sched::SchedulingCost cost;
-  uint64_t checksum = 1469598103934665603ull;  // FNV offset basis
+  ChurnResult result;
   for (int64_t i = 0; i < ops; ++i) {
     out.clear();
     cost.Clear();
+    if (i % anchor_group == 0) arrival = now;
     if (!scheduler.PickNext(now, &cost, &out)) {
-      FillQueues(units, scheduler);
+      FillQueues(units, scheduler, anchor_group);
       continue;
     }
+    ++result.picks;
+    result.candidates += cost.candidates;
     for (int u : out) {
-      checksum = (checksum ^ static_cast<uint64_t>(u)) * 1099511628211ull;
+      result.checksum =
+          (result.checksum ^ static_cast<uint64_t>(u)) * 1099511628211ull;
       units[static_cast<size_t>(u)].queue.pop_front();
       scheduler.OnDequeue(u);
     }
     for (int u : out) {
-      units[static_cast<size_t>(u)].queue.push_back(sched::QueueEntry{i, now});
+      units[static_cast<size_t>(u)].queue.push_back(
+          sched::QueueEntry{i, arrival});
       scheduler.OnEnqueue(u);
     }
     now += 1e-6;
     KeepAlive(out.data());
   }
-  return checksum;
+  return result;
 }
 
 sched::PolicyConfig PickPolicy(const std::string& policy, bool kinetic) {
@@ -198,43 +255,49 @@ sched::PolicyConfig PickPolicy(const std::string& policy, bool kinetic) {
   return config;
 }
 
-/// Benchmarks PickNext churn for one (policy, n) cell. For the policies with
-/// a kinetic index the off-variant is run too and its pick sequence is
-/// checked to be identical.
-void BenchPick(const std::string& policy, int n, int64_t ops, int reps,
-               bool has_kinetic, std::vector<BenchResult>* results) {
-  uint64_t checksum_on = 0;
-  {
+/// Benchmarks PickNext churn for one (policy, n, anchor_group) cell. For
+/// the policies with a kinetic index the off-variant is run too and its
+/// pick sequence is checked to be identical.
+void BenchPick(const std::string& policy, int n, int64_t anchor_group,
+               int64_t ops, int reps, bool has_kinetic,
+               std::vector<BenchResult>* results) {
+  const std::string prefix = "pick/" + policy + "/n=" + std::to_string(n) +
+                             (anchor_group > 1 ? "/anchors=shared" : "");
+  // One untimed run per variant yields the checksum and the work counter.
+  const auto measure = [&](bool kinetic, double* evals_per_pick) {
     sched::UnitTable units = MakeUnits(n);
-    auto scheduler = sched::CreateScheduler(PickPolicy(policy, true));
+    auto scheduler = sched::CreateScheduler(PickPolicy(policy, kinetic));
     scheduler->Attach(&units);
-    checksum_on = PickChurn(*scheduler, units, ops);  // warm-up + checksum
-    std::ostringstream name;
-    name << "pick/" << policy << "/n=" << n
-         << (has_kinetic ? "/kinetic=on" : "");
-    results->push_back(RunTimed(name.str(), ops, reps, [&] {
+    const ChurnResult churn = PickChurn(*scheduler, units, ops, anchor_group);
+    if (has_kinetic) {
+      const int64_t evals =
+          kinetic ? IndexEvaluations(*scheduler) : churn.candidates;
+      *evals_per_pick = static_cast<double>(evals) /
+                        static_cast<double>(std::max<int64_t>(churn.picks, 1));
+    }
+    return churn.checksum;
+  };
+  const auto timed = [&](bool kinetic, const std::string& name,
+                         double evals_per_pick) {
+    BenchResult result = RunTimed(name, ops, reps, [&] {
       sched::UnitTable fresh = MakeUnits(n);
-      auto s = sched::CreateScheduler(PickPolicy(policy, true));
+      auto s = sched::CreateScheduler(PickPolicy(policy, kinetic));
       s->Attach(&fresh);
-      KeepAlive(static_cast<int64_t>(PickChurn(*s, fresh, ops)));
-    }));
-  }
+      KeepAlive(static_cast<int64_t>(
+          PickChurn(*s, fresh, ops, anchor_group).checksum));
+    });
+    result.evals_per_pick = evals_per_pick;
+    results->push_back(result);
+  };
+  double evals_on = 0.0;
+  const uint64_t checksum_on = measure(true, &evals_on);
+  timed(true, prefix + (has_kinetic ? "/kinetic=on" : ""), evals_on);
   if (!has_kinetic) return;
-  sched::UnitTable units = MakeUnits(n);
-  auto scheduler = sched::CreateScheduler(PickPolicy(policy, false));
-  scheduler->Attach(&units);
-  const uint64_t checksum_off = PickChurn(*scheduler, units, ops);
+  double evals_off = 0.0;
+  const uint64_t checksum_off = measure(false, &evals_off);
   AQSIOS_CHECK(checksum_on == checksum_off)
-      << "kinetic on/off pick sequences diverged for " << policy
-      << " at n=" << n;
-  std::ostringstream name;
-  name << "pick/" << policy << "/n=" << n << "/kinetic=off";
-  results->push_back(RunTimed(name.str(), ops, reps, [&] {
-    sched::UnitTable fresh = MakeUnits(n);
-    auto s = sched::CreateScheduler(PickPolicy(policy, false));
-    s->Attach(&fresh);
-    KeepAlive(static_cast<int64_t>(PickChurn(*s, fresh, ops)));
-  }));
+      << "kinetic on/off pick sequences diverged for " << prefix;
+  timed(false, prefix + "/kinetic=off", evals_off);
 }
 
 // ---------------------------------------------------------------------------
@@ -468,12 +531,13 @@ void BenchKernel(const query::Workload& workload, const std::string& policy,
 
 // ---------------------------------------------------------------------------
 
-std::string ToJson(const std::vector<BenchResult>& results, int queries,
-                   int64_t arrivals, uint64_t seed, int reps,
+std::string ToJson(const std::vector<BenchResult>& results, bool quick,
+                   int queries, int64_t arrivals, uint64_t seed, int reps,
                    double total_wall_ms) {
   std::ostringstream os;
   os.precision(17);
   os << "{\n  \"schema\": \"aqsios-bench-perf/1\",\n";
+  os << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n";
   os << "  \"queries\": " << queries << ",\n";
   os << "  \"arrivals\": " << arrivals << ",\n";
   os << "  \"seed\": " << seed << ",\n";
@@ -484,6 +548,9 @@ std::string ToJson(const std::vector<BenchResult>& results, int queries,
     const BenchResult& r = results[i];
     os << "    {\"name\": \"" << r.name << "\", \"ns_per_op\": " << r.ns_per_op
        << ", \"ops\": " << r.ops << ", \"wall_ms\": " << r.wall_ms;
+    if (r.evals_per_pick > 0.0) {
+      os << ", \"evals_per_pick\": " << r.evals_per_pick;
+    }
     if (r.tuples_per_vsec > 0.0) {
       os << ", \"tuples_per_vsec\": " << r.tuples_per_vsec;
     }
@@ -525,18 +592,23 @@ int Main(int argc, char** argv) {
   const Clock::time_point suite_start = Clock::now();
   std::vector<BenchResult> results;
 
-  // PickNext churn: n=60 runs the kinetic index in dense mode, n=500 in
-  // tournament-tree mode (the dense fast path caps at
-  // sched::KineticIndex::kDenseMaxCapacity = 128 slots).
+  // PickNext churn on distinct anchors: n=60 runs the kinetic index as a
+  // bucket scan, n=500 as a tournament tree (its guard cells).
   const int64_t pick_ops = quick ? 20000 : 200000;
   for (const int n : {60, 500}) {
     if (quick && n == 500) continue;
-    BenchPick("lsf", n, pick_ops, reps, /*has_kinetic=*/true, &results);
-    BenchPick("bsd", n, pick_ops, reps, /*has_kinetic=*/true, &results);
-    BenchPick("bsd-clustered", n, pick_ops, reps, /*has_kinetic=*/true,
+    BenchPick("lsf", n, 1, pick_ops, reps, /*has_kinetic=*/true, &results);
+    BenchPick("bsd", n, 1, pick_ops, reps, /*has_kinetic=*/true, &results);
+    BenchPick("bsd-clustered", n, 1, pick_ops, reps, /*has_kinetic=*/true,
               &results);
-    BenchPick("rr", n, pick_ops, reps, /*has_kinetic=*/false, &results);
-    BenchPick("hnr", n, pick_ops, reps, /*has_kinetic=*/false, &results);
+    BenchPick("rr", n, 1, pick_ops, reps, /*has_kinetic=*/false, &results);
+    BenchPick("hnr", n, 1, pick_ops, reps, /*has_kinetic=*/false, &results);
+  }
+  // Shared anchors at n=500: the bucket scan's regime. Runs in quick mode
+  // too, so CI checks the on/off pick identity on large buckets.
+  for (const char* policy : {"lsf", "bsd"}) {
+    BenchPick(policy, 500, kSharedAnchorGroup, pick_ops, reps,
+              /*has_kinetic=*/true, &results);
   }
 
   // TupleQueue vs std::deque on the engine's shallow-churn pattern.
@@ -615,7 +687,7 @@ int Main(int argc, char** argv) {
   }
 
   const double total_wall_ms = ElapsedMs(suite_start);
-  const std::string json = ToJson(results, queries, config.num_arrivals,
+  const std::string json = ToJson(results, quick, queries, config.num_arrivals,
                                   static_cast<uint64_t>(seed), reps,
                                   total_wall_ms);
   if (!out.empty()) {

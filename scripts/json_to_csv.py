@@ -16,8 +16,10 @@ Micro-benchmark reports (schema aqsios-bench-perf/1, written by
 bench_micro_sched / bench_scaling / bench_stress --out BENCH_perf.json) are
 detected automatically and emitted as a flat table — the pivot options do
 not apply to them. Besides name,ns_per_op,ops,wall_ms the table carries the
-optional per-cell columns: tuples_per_vsec (deterministic virtual
-throughput of the batched sim cells), the columnar-kernel cells'
+optional per-cell columns: evals_per_pick (priority lines evaluated per
+pick in the pick/ cells, a deterministic work counter), tuples_per_vsec
+(deterministic virtual throughput of the batched sim cells), the
+columnar-kernel cells'
 tuples_per_wall_sec and speedup_vs_scalar
 (kernel/{scalar,columnar}/<policy>/... cells, see docs/performance.md),
 the shard-scaling curve's
@@ -190,7 +192,8 @@ def main():
     cells = extract_cells(text, args.figure)
     if cells and isinstance(cells[0], dict) and "ns_per_op" in cells[0]:
         # aqsios-bench-perf/1 micro-benchmark rows: flat table, no pivot.
-        optional = ["tuples_per_vsec", "tuples_per_wall_sec",
+        optional = ["evals_per_pick", "tuples_per_vsec",
+                    "tuples_per_wall_sec",
                     "speedup_vs_scalar",
                     "speedup_vs_shards1", "load_imbalance", "shed_ratio",
                     "p99_slowdown", "avg_slowdown", "peak_queued_tuples",

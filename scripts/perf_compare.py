@@ -33,6 +33,12 @@ Accepts either report the repo's bench binaries write:
     cells are matched by (figure, utilization, policy) and compared on
     wall_ms.
 
+Reports that record a "mode" in their header (bench_micro_sched writes
+"quick" or "full"; --quick cells reuse the full-mode names at a fraction
+of the size) are only compared like for like: when the two reports' modes
+differ — a report without the field counts as "unrecorded" — the script
+exits 2 before comparing anything, unless --allow-cross-mode is given.
+
 For every matched entry the ratio new/old is printed; entries whose ratio
 exceeds 1 + --threshold are regressions, entries below 1 - --threshold are
 improvements, the rest are noise-level. Cells present in only one report are
@@ -47,6 +53,8 @@ Usage:
     scripts/perf_compare.py BENCH_perf.json /tmp/perf_new.json \
         --threshold 0.25 --warn-only
     scripts/perf_compare.py BENCH_sweep.json /tmp/sweep_new.json
+    scripts/perf_compare.py BENCH_perf.json /tmp/perf_quick.json \
+        --allow-cross-mode --warn-only
 
 Standard library only.
 """
@@ -59,7 +67,10 @@ import sys
 def load_entries(path, overheads=None, kernel_speedups=None,
                  skew_imbalances=None, drift_p99s=None,
                  calibration_overheads=None):
-    """Returns (schema, {key: value}) for one report file.
+    """Returns (schema, mode, {key: value}) for one report file.
+
+    `mode` is the header's "mode" field, or None when the report does not
+    record one.
 
     Keys are benchmark names (perf schema) or "figure/util/policy" strings
     (sweep schema); values are the compared metric (ns_per_op / wall_ms).
@@ -77,6 +88,7 @@ def load_entries(path, overheads=None, kernel_speedups=None,
     with open(path, encoding="utf-8") as handle:
         report = json.load(handle)
     schema = report.get("schema", "")
+    mode = report.get("mode")
     entries = {}
     if schema.startswith("aqsios-bench-perf/"):
         for bench in report["benchmarks"]:
@@ -133,7 +145,7 @@ def load_entries(path, overheads=None, kernel_speedups=None,
         raise ValueError(
             f"{path}: unrecognized schema {schema!r} (expected "
             "aqsios-bench-perf/1 or aqsios-bench-sweep/1)")
-    return schema, entries
+    return schema, mode, entries
 
 
 def main():
@@ -166,15 +178,20 @@ def main():
                         help="absolute ceiling (in percent) for "
                              "calibration_overhead_pct on the candidate's "
                              "steady-state pair (default: 2.0)")
+    parser.add_argument("--allow-cross-mode", action="store_true",
+                        help="compare reports whose recorded modes differ "
+                             "(e.g. a --quick run against the committed "
+                             "full-mode baseline); their cells share names "
+                             "but not sizes, so ratios are indicative only")
     args = parser.parse_args()
 
-    old_schema, old_entries = load_entries(args.old)
+    old_schema, old_mode, old_entries = load_entries(args.old)
     new_overheads = {}
     new_kernel_speedups = {}
     new_skew_imbalances = {}
     new_drift_p99s = {}
     new_calibration_overheads = {}
-    new_schema, new_entries = load_entries(
+    new_schema, new_mode, new_entries = load_entries(
         args.new, overheads=new_overheads,
         kernel_speedups=new_kernel_speedups,
         skew_imbalances=new_skew_imbalances,
@@ -184,6 +201,17 @@ def main():
         print(f"error: schema mismatch: {old_schema} vs {new_schema}",
               file=sys.stderr)
         return 2
+    if old_mode != new_mode:
+        modes = "{} vs {}".format(old_mode or "unrecorded",
+                                  new_mode or "unrecorded")
+        if not args.allow_cross_mode:
+            print(f"error: mode mismatch: {modes} ({args.old} vs "
+                  f"{args.new}); same-named cells measure different "
+                  "workload sizes. Pass --allow-cross-mode to compare "
+                  "anyway.", file=sys.stderr)
+            return 2
+        print(f"note: comparing across modes ({modes}); ratios are "
+              "indicative only")
 
     shared = [k for k in old_entries if k in new_entries]
     only_old = sorted(k for k in old_entries if k not in new_entries)

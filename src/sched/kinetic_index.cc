@@ -1,6 +1,7 @@
 #include "sched/kinetic_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -10,68 +11,43 @@ namespace aqsios::sched {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Exact bit pattern: a re-key to a bit-identical line is a no-op, and
+/// bit-identical lines tie forever.
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+/// Buckets key anchors by value: +0 and -0 share a key (their x = now -
+/// anchor compare equal; see BucketArgMax for the returned priority).
+uint64_t AnchorKey(double anchor) { return anchor == 0.0 ? 0 : Bits(anchor); }
+
+/// Home slot of a key in the anchor table (Fibonacci hashing: the top bits
+/// of key * 2^64 / phi).
+size_t AnchorHome(uint64_t key) {
+  static_assert(KineticIndex::kAnchorSlots == 256);
+  return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> 56);
+}
 }  // namespace
 
 void KineticIndex::Reserve(int max_ids) {
   int capacity = 1;
   while (capacity < max_ids) capacity <<= 1;
-  dense_ = capacity <= kDenseMaxCapacity;
   capacity_ = capacity;
-  const size_t leaves = static_cast<size_t>(capacity_);
-  occupied_.assign(leaves, 0);
-  lines_.assign(leaves, Line{});
-  dense_ids_.clear();
-  dense_pos_.assign(leaves, -1);
-  dense_anchor_.clear();
-  dense_coef_.clear();
-  dense_tie_.clear();
-  if (dense_) {
-    nodes_.clear();
-  } else {
-    nodes_.assign(leaves * 2, Node{-1, kInf, kInf});
-  }
+  const size_t slots = static_cast<size_t>(capacity_);
+  occupied_.assign(slots, 0);
+  lines_.assign(slots, Line{});
+  bucket_of_.assign(slots, -1);
+  DropBuckets();
+  tree_ = false;
+  nodes_.clear();
   size_ = 0;
 }
 
 void KineticIndex::Clear() {
   ++clears_;
   std::fill(occupied_.begin(), occupied_.end(), 0);
+  DropBuckets();
   std::fill(nodes_.begin(), nodes_.end(), Node{-1, kInf, kInf});
-  dense_ids_.clear();
-  dense_anchor_.clear();
-  dense_coef_.clear();
-  dense_tie_.clear();
-  std::fill(dense_pos_.begin(), dense_pos_.end(), -1);
   size_ = 0;
-}
-
-void KineticIndex::Rebuild(int new_capacity) {
-  const size_t leaves = static_cast<size_t>(new_capacity);
-  occupied_.resize(leaves, 0);
-  lines_.resize(leaves, Line{});
-  dense_pos_.resize(leaves, -1);
-  capacity_ = new_capacity;
-  if (capacity_ <= kDenseMaxCapacity) {
-    // Still small: stay dense — the live-id list and lines carry over.
-    return;
-  }
-  // Crossing into tree territory (or already there): build the tournament
-  // from the occupancy bitmap. The dense bookkeeping goes dormant.
-  dense_ = false;
-  dense_ids_.clear();
-  dense_anchor_.clear();
-  dense_coef_.clear();
-  dense_tie_.clear();
-  std::fill(dense_pos_.begin(), dense_pos_.end(), -1);
-  nodes_.assign(leaves * 2, Node{-1, kInf, kInf});
-  for (int slot = 0; slot < capacity_; ++slot) {
-    if (occupied_[static_cast<size_t>(slot)]) {
-      nodes_[static_cast<size_t>(capacity_ + slot)].winner = slot;
-    }
-  }
-  for (int node = capacity_ - 1; node >= 1; --node) {
-    RecomputeNode(node, last_time_);
-  }
 }
 
 void KineticIndex::Insert(int id, double anchor, double coef,
@@ -81,56 +57,431 @@ void KineticIndex::Insert(int id, double anchor, double coef,
   if (id >= capacity_) {
     int capacity = capacity_ == 0 ? 1 : capacity_;
     while (capacity <= id) capacity <<= 1;
-    Rebuild(capacity);
+    const size_t slots = static_cast<size_t>(capacity);
+    occupied_.resize(slots, 0);
+    lines_.resize(slots, Line{});
+    bucket_of_.resize(slots, -1);
+    if (tree_) {
+      Rebuild(capacity);
+    } else {
+      capacity_ = capacity;
+    }
   }
   const size_t slot = static_cast<size_t>(id);
-  if (!occupied_[slot]) {
-    occupied_[slot] = 1;
-    ++size_;
-    if (dense_) {
-      dense_pos_[slot] = static_cast<int>(dense_ids_.size());
-      dense_ids_.push_back(id);
-      dense_anchor_.push_back(anchor);
-      dense_coef_.push_back(coef);
-      dense_tie_.push_back(tie_key);
-    } else {
+  const Line& line = lines_[slot];
+  const bool present = occupied_[slot] != 0;
+  if (present && Bits(line.anchor) == Bits(anchor) && line.coef == coef &&
+      line.tie == tie_key) {
+    return;  // same line: nothing to re-key
+  }
+  if (tree_) {
+    if (!present) {
+      occupied_[slot] = 1;
+      ++size_;
       nodes_[static_cast<size_t>(capacity_ + id)].winner = id;
     }
-  } else if (dense_) {
-    const size_t pos = static_cast<size_t>(dense_pos_[slot]);
-    dense_anchor_[pos] = anchor;
-    dense_coef_[pos] = coef;
-    dense_tie_[pos] = tie_key;
+    SetLine(id, anchor, coef, tie_key);
+    MarkPath(id);
+    return;
   }
-  Line& line = lines_[slot];
-  line.anchor = anchor;
-  line.coef = coef;
-  line.slope = mode_ == EvalMode::kRatio ? 1.0 / coef : coef;
-  line.tie = tie_key;
-  if (!dense_) MarkPath(id);
+  int target = FindBucket(anchor);
+  if (present) {
+    const size_t pos =
+        static_cast<size_t>(head_pos_[static_cast<size_t>(bucket_of_[slot])]);
+    Bucket& bucket = buckets_[pos];
+    if (bucket.front.id == bucket.back.id &&
+        (target < 0 || target == static_cast<int>(pos))) {
+      // The sole member moves to an anchor no other bucket holds: re-key
+      // its bucket in place instead of releasing one and opening another.
+      SetLine(id, anchor, coef, tie_key);
+      const Member member{coef, tie_key, id};
+      if (target < 0 && anchor_table_live_) {
+        UnmapAnchor(anchors_[pos]);
+        MapAnchor(anchor, bucket.handle);
+      }
+      anchors_[pos] = anchor;
+      bucket.back = member;
+      bucket.front = member;
+      anchor_ceiling_ = std::max(anchor_ceiling_, anchor);
+      return;
+    }
+    const int last = bucket_count() - 1;
+    RemoveFromBucket(id);
+    // A released bucket is swap-removed: the last one moves into its place.
+    if (target == last && bucket_count() == last) {
+      target = static_cast<int>(pos);
+    }
+  } else {
+    occupied_[slot] = 1;
+    ++size_;
+  }
+  SetLine(id, anchor, coef, tie_key);
+  AddToBucket(id, target);
 }
 
 void KineticIndex::Erase(int id) {
   if (!Contains(id)) return;
+  if (tree_) {
+    nodes_[static_cast<size_t>(capacity_ + id)].winner = -1;
+    MarkPath(id);
+  } else {
+    RemoveFromBucket(id);
+  }
   occupied_[static_cast<size_t>(id)] = 0;
   --size_;
-  if (dense_) {
-    const size_t pos = static_cast<size_t>(dense_pos_[static_cast<size_t>(id)]);
-    const int last = dense_ids_.back();
-    dense_ids_[pos] = last;
-    dense_anchor_[pos] = dense_anchor_.back();
-    dense_coef_[pos] = dense_coef_.back();
-    dense_tie_[pos] = dense_tie_.back();
-    dense_pos_[static_cast<size_t>(last)] = static_cast<int>(pos);
-    dense_ids_.pop_back();
-    dense_anchor_.pop_back();
-    dense_coef_.pop_back();
-    dense_tie_.pop_back();
-    dense_pos_[static_cast<size_t>(id)] = -1;
+}
+
+void KineticIndex::SetLine(int id, double anchor, double coef,
+                           double tie_key) {
+  Line& line = lines_[static_cast<size_t>(id)];
+  line.anchor = anchor;
+  line.coef = coef;
+  line.tie = tie_key;
+  if (tree_) line.slope = mode_ == EvalMode::kRatio ? 1.0 / coef : coef;
+}
+
+int KineticIndex::ArgMax(SimTime now, double* priority) {
+  if (size_ == 0) return -1;
+  last_time_ = now;
+  if (tree_) return TreeArgMax(now, priority);
+  return mode_ == EvalMode::kRatio
+             ? BucketArgMax<EvalMode::kRatio>(now, priority)
+             : BucketArgMax<EvalMode::kScaled>(now, priority);
+}
+
+// --- bucket mode -------------------------------------------------------------
+
+bool KineticIndex::Precedes(const Member& a, const Member& b) const {
+  if (a.coef != b.coef) {
+    return mode_ == EvalMode::kRatio ? a.coef > b.coef : a.coef < b.coef;
+  }
+  return TieBreaksBefore(a, b);
+}
+
+int KineticIndex::FindBucket(double anchor) const {
+  // Time moves forward, so a new anchor is usually past every anchor seen
+  // so far: that answers "no bucket" without touching the table.
+  if (!(anchor <= anchor_ceiling_)) return -1;
+  if (!anchor_table_live_) {
+    // Few buckets: a scan from the newest end beats hashing.
+    for (int k = bucket_count(); k-- > 0;) {
+      if (anchors_[static_cast<size_t>(k)] == anchor) return k;
+    }
+    return -1;
+  }
+  const uint64_t key = AnchorKey(anchor);
+  for (size_t i = AnchorHome(key);; i = (i + 1) & (kAnchorSlots - 1)) {
+    const AnchorSlot& slot = anchor_table_[i];
+    if (slot.handle < 0) return -1;
+    if (slot.key == key) return head_pos_[static_cast<size_t>(slot.handle)];
+  }
+}
+
+void KineticIndex::MapAnchor(double anchor, int handle) {
+  const uint64_t key = AnchorKey(anchor);
+  size_t i = AnchorHome(key);
+  while (anchor_table_[i].handle >= 0) i = (i + 1) & (kAnchorSlots - 1);
+  anchor_table_[i] = AnchorSlot{key, handle};
+}
+
+void KineticIndex::UnmapAnchor(double anchor) {
+  constexpr size_t kMask = kAnchorSlots - 1;
+  const uint64_t key = AnchorKey(anchor);
+  size_t hole = AnchorHome(key);
+  for (size_t probes = 0;
+       anchor_table_[hole].handle < 0 || anchor_table_[hole].key != key;
+       ++probes) {
+    AQSIOS_CHECK_LT(probes, kAnchorSlots) << "anchor missing from its table";
+    hole = (hole + 1) & kMask;
+  }
+  // Backward-shift deletion: move each later entry of the probe run whose
+  // home does not lie cyclically after the hole back into it, so lookups
+  // need no tombstones.
+  for (size_t j = (hole + 1) & kMask; anchor_table_[j].handle >= 0;
+       j = (j + 1) & kMask) {
+    const size_t home = AnchorHome(anchor_table_[j].key);
+    if (((j - home) & kMask) >= ((j - hole) & kMask)) {
+      anchor_table_[hole] = anchor_table_[j];
+      hole = j;
+    }
+  }
+  anchor_table_[hole].handle = -1;
+}
+
+void KineticIndex::AddToBucket(int id, int pos) {
+  const Line& line = lines_[static_cast<size_t>(id)];
+  const Member member{line.coef, line.tie, id};
+  if (pos < 0) {
+    int handle;
+    if (free_handles_.empty()) {
+      handle = static_cast<int>(members_.size());
+      members_.emplace_back();
+      head_pos_.push_back(-1);
+    } else {
+      handle = free_handles_.back();
+      free_handles_.pop_back();
+    }
+    head_pos_[static_cast<size_t>(handle)] = bucket_count();
+    anchors_.push_back(line.anchor);
+    buckets_.push_back(Bucket{member, member, handle});
+    if (anchor_table_live_) {
+      MapAnchor(line.anchor, handle);
+    } else if (bucket_count() > kAnchorTableOnBuckets) {
+      anchor_table_live_ = true;
+      anchor_table_.fill(AnchorSlot{});
+      for (size_t k = 0; k < buckets_.size(); ++k) {
+        MapAnchor(anchors_[k], buckets_[k].handle);
+      }
+    }
+    anchor_ceiling_ = std::max(anchor_ceiling_, line.anchor);
+    bucket_of_[static_cast<size_t>(id)] = handle;
+    if (bucket_count() > kTreeEnterBuckets) EnterTree();
     return;
   }
-  nodes_[static_cast<size_t>(capacity_ + id)].winner = -1;
-  MarkPath(id);
+  Bucket& bucket = buckets_[static_cast<size_t>(pos)];
+  std::vector<Member>& members = members_[static_cast<size_t>(bucket.handle)];
+  if (members.empty()) members.push_back(bucket.back);  // was one-line
+  // Insertion step from the back: buckets are small, so an inline shift
+  // beats a binary search plus a library memmove.
+  members.push_back(member);
+  size_t i = members.size() - 1;
+  for (; i > 0 && Precedes(member, members[i - 1]); --i) {
+    members[i] = members[i - 1];
+  }
+  members[i] = member;
+  bucket.back = members.back();
+  bucket.front = members.front();
+  bucket_of_[static_cast<size_t>(id)] = bucket.handle;
+}
+
+void KineticIndex::RemoveFromBucket(int id) {
+  const int handle = bucket_of_[static_cast<size_t>(id)];
+  const size_t pos =
+      static_cast<size_t>(head_pos_[static_cast<size_t>(handle)]);
+  Bucket& bucket = buckets_[pos];
+  if (bucket.front.id == bucket.back.id) {
+    ReleaseBucket(pos);
+    return;
+  }
+  std::vector<Member>& members = members_[static_cast<size_t>(handle)];
+  if (members.back().id != id) {
+    size_t i = 0;
+    while (members[i].id != id) ++i;
+    for (; i + 1 < members.size(); ++i) members[i] = members[i + 1];
+  }
+  members.pop_back();
+  bucket.back = members.back();
+  bucket.front = members.front();
+  if (members.size() == 1) members.clear();  // one-line again
+}
+
+void KineticIndex::ReleaseBucket(size_t pos) {
+  if (anchor_table_live_) UnmapAnchor(anchors_[pos]);
+  free_handles_.push_back(buckets_[pos].handle);
+  if (pos + 1 != buckets_.size()) {
+    anchors_[pos] = anchors_.back();
+    buckets_[pos] = buckets_.back();
+    head_pos_[static_cast<size_t>(buckets_[pos].handle)] =
+        static_cast<int>(pos);
+  }
+  anchors_.pop_back();
+  buckets_.pop_back();
+  // Few buckets left: stop maintaining the table (rebuilt when needed).
+  if (bucket_count() <= kAnchorTableOffBuckets) anchor_table_live_ = false;
+}
+
+void KineticIndex::DropBuckets() {
+  for (const Bucket& bucket : buckets_) {
+    members_[static_cast<size_t>(bucket.handle)].clear();
+    free_handles_.push_back(bucket.handle);
+  }
+  anchors_.clear();
+  buckets_.clear();
+  anchor_ceiling_ = -kInf;
+  anchor_table_live_ = false;
+}
+
+void KineticIndex::ResolveRun(size_t pos, double now, double best,
+                              Member* winner) {
+  const Bucket& bucket = buckets_[pos];
+  const std::vector<Member>& members =
+      members_[static_cast<size_t>(bucket.handle)];
+  const auto consider = [&](const Member& member) {
+    if (winner->id < 0 || TieBreaksBefore(member, *winner)) *winner = member;
+  };
+  // The scan evaluated the end member and got `best`; its equal-priority
+  // neighbours form a contiguous run from that end (monotone key order).
+  // Every member shares the bucket's x, so a neighbour's priority is its
+  // inline coefficient applied to x — the scan's formula for its line.
+  if (bucket.front.id == bucket.back.id) {
+    consider(bucket.back);  // a one-line bucket has no run
+    return;
+  }
+  const double x = now - anchors_[pos];
+  const bool ratio = mode_ == EvalMode::kRatio;
+  const auto priority_of = [&](const Member& m) {
+    ++line_evaluations_;
+    return ratio ? x / m.coef : m.coef * x;
+  };
+  // Members with one coefficient are identical lines here, so the run is
+  // walked a coefficient group at a time: within a group the order is by
+  // (tie, id), so its first member is the group's candidate.
+  const auto by_key = [this](const Member& a, const Member& b) {
+    return mode_ == EvalMode::kRatio ? a.coef > b.coef : a.coef < b.coef;
+  };
+  const auto begin = members.begin();
+  const auto end = members.end();
+  if (x >= 0.0) {
+    auto group_end = end;  // walk groups from the back
+    do {
+      const auto group = std::lower_bound(begin, group_end, *(group_end - 1),
+                                          by_key);
+      consider(*group);
+      group_end = group;
+    } while (group_end != begin && priority_of(*(group_end - 1)) == best);
+  } else {
+    auto group = begin;  // walk groups from the front
+    do {
+      consider(*group);
+      group = std::upper_bound(group, end, *group, by_key);
+    } while (group != end && priority_of(*group) == best);
+  }
+}
+
+template <KineticIndex::EvalMode kMode>
+int KineticIndex::BucketArgMax(SimTime now, double* priority) {
+  // One exact evaluation per bucket, with the scan's arithmetic on the
+  // bucket's best-end coefficient. `tied` records whether a later bucket
+  // reached the running maximum exactly.
+  const double* const anchors = anchors_.data();
+  const Bucket* const buckets = buckets_.data();
+  const size_t n = buckets_.size();
+  size_t best_pos = 0;
+  double best = BucketPriority<kMode>(0, now);
+  bool tied = false;
+  const auto fold = [&](size_t k, double p) {
+    if (p > best) {
+      best = p;
+      best_pos = k;
+      tied = false;
+    } else if (p == best) {
+      tied = true;
+    }
+  };
+  if (now >= anchor_ceiling_) {
+    // Every anchor is at or behind the clock (the usual case), so every
+    // bucket's best line is its back: no per-bucket choice of end.
+    for (size_t k = 1; k < n; ++k) {
+      const double x = now - anchors[k];
+      const double coef = buckets[k].back.coef;
+      fold(k, kMode == EvalMode::kRatio ? x / coef : coef * x);
+    }
+  } else {
+    for (size_t k = 1; k < n; ++k) fold(k, BucketPriority<kMode>(k, now));
+  }
+  line_evaluations_ += static_cast<int64_t>(n);
+  const Bucket& top = buckets[best_pos];
+  if (!tied && best != 0.0 && now >= anchors[best_pos]) {
+    // The common case: the winning bucket's back line won outright — it is
+    // alone, or its neighbour already falls short of it.
+    bool alone = top.front.id == top.back.id;
+    if (!alone) {
+      const std::vector<Member>& members =
+          members_[static_cast<size_t>(top.handle)];
+      const double x = now - anchors[best_pos];
+      const double coef = members[members.size() - 2].coef;
+      ++line_evaluations_;
+      alone = (kMode == EvalMode::kRatio ? x / coef : coef * x) != best;
+    }
+    if (alone) {
+      if (priority != nullptr) *priority = best;
+      return top.back.id;
+    }
+  }
+  return ResolveTies<kMode>(now, best, best_pos, tied, priority);
+}
+
+template <KineticIndex::EvalMode kMode>
+int KineticIndex::ResolveTies(SimTime now, double best, size_t best_pos,
+                              bool tied, double* priority) {
+  // Walk the winning bucket's equal-priority run and, when other buckets
+  // reached the same maximum, theirs too.
+  Member winner{0.0, 0.0, -1};
+  ResolveRun(best_pos, now, best, &winner);
+  if (tied) {
+    for (size_t k = best_pos + 1; k < buckets_.size(); ++k) {
+      ++line_evaluations_;
+      if (BucketPriority<kMode>(k, now) == best) {
+        ResolveRun(k, now, best, &winner);
+      }
+    }
+  }
+  if (priority != nullptr) {
+    // `best` is the winner's own priority bit for bit, except that a zero
+    // may differ in sign: buckets key anchors by value, so the winner's
+    // anchor may be the other zero of its bucket's key. Re-evaluate then.
+    if (best == 0.0) {
+      ++line_evaluations_;
+      best = Eval(winner.id, now);
+    }
+    *priority = best;
+  }
+  return winner.id;
+}
+
+// --- mode switches -----------------------------------------------------------
+
+void KineticIndex::EnterTree() {
+  DropBuckets();
+  tree_ = true;
+  for (int id = 0; id < capacity_; ++id) {
+    if (!occupied_[static_cast<size_t>(id)]) continue;
+    Line& line = lines_[static_cast<size_t>(id)];
+    line.slope = mode_ == EvalMode::kRatio ? 1.0 / line.coef : line.coef;
+  }
+  recount_countdown_ = kRecountPeriod;
+  Rebuild(capacity_);
+}
+
+void KineticIndex::LeaveTree() {
+  tree_ = false;
+  nodes_.clear();
+  for (int id = 0; id < capacity_; ++id) {
+    if (occupied_[static_cast<size_t>(id)]) {
+      AddToBucket(id, FindBucket(lines_[static_cast<size_t>(id)].anchor));
+    }
+  }
+}
+
+int KineticIndex::CountAnchorsUpTo(int limit) {
+  anchor_scratch_.clear();
+  for (int id = 0; id < capacity_; ++id) {
+    if (!occupied_[static_cast<size_t>(id)]) continue;
+    const uint64_t bits = Bits(lines_[static_cast<size_t>(id)].anchor);
+    if (std::find(anchor_scratch_.begin(), anchor_scratch_.end(), bits) !=
+        anchor_scratch_.end()) {
+      continue;
+    }
+    anchor_scratch_.push_back(bits);
+    if (static_cast<int>(anchor_scratch_.size()) >= limit) break;
+  }
+  return static_cast<int>(anchor_scratch_.size());
+}
+
+// --- tree mode ---------------------------------------------------------------
+
+void KineticIndex::Rebuild(int new_capacity) {
+  capacity_ = new_capacity;
+  const size_t leaves = static_cast<size_t>(capacity_);
+  nodes_.assign(leaves * 2, Node{-1, kInf, kInf});
+  for (int slot = 0; slot < capacity_; ++slot) {
+    if (occupied_[static_cast<size_t>(slot)]) {
+      nodes_[static_cast<size_t>(capacity_ + slot)].winner = slot;
+    }
+  }
+  for (int node = capacity_ - 1; node >= 1; --node) {
+    RecomputeNode(node, last_time_);
+  }
 }
 
 void KineticIndex::MarkPath(int slot) {
@@ -149,7 +500,6 @@ void KineticIndex::MarkPath(int slot) {
 }
 
 void KineticIndex::RecomputeNode(int node, double t) {
-  ++node_recomputes_;
   const size_t i = static_cast<size_t>(node);
   const size_t l = i << 1;
   const size_t r = l | 1;
@@ -160,6 +510,7 @@ void KineticIndex::RecomputeNode(int node, double t) {
   if (wl < 0 || wr < 0) {
     winner = wl < 0 ? wr : wl;
   } else {
+    line_evaluations_ += 2;
     const double pl = Eval(wl, t);
     const double pr = Eval(wr, t);
     const Line& ll = lines_[static_cast<size_t>(wl)];
@@ -175,15 +526,26 @@ void KineticIndex::RecomputeNode(int node, double t) {
     winner = left_wins ? wl : wr;
     const Line& lw = left_wins ? ll : lr;
     const Line& lo = left_wins ? lr : ll;
-    if (lo.slope > lw.slope) {
-      // The losing line is steeper: it overtakes at the algebraic crossover
-      // tc. Re-check a relative margin early; never certify past-the-present
-      // validity (a certificate at `t` means "re-check on the next query").
-      const double tc =
-          (lo.slope * lo.anchor - lw.slope * lw.anchor) / (lo.slope - lw.slope);
-      double cert = tc - 1e-9 * std::max(1.0, std::abs(tc));
-      if (!(cert > t)) cert = t;
-      match_exp = cert;
+    // The computed comparison is only trusted while the exact gap
+    // D = P_w - P_o exceeds a guard band of kBand * (|P_w| + |P_o|), far
+    // wider than the few-ulp rounding of either evaluation. D changes at
+    // rate s_w - s_o and the band grows at most at rate kBand * (s_w + s_o),
+    // so the match holds at least until the gap closes onto the band.
+    constexpr double kBand = 1e-9;
+    const double pw = left_wins ? pl : pr;
+    const double po = left_wins ? pr : pl;
+    const double gap = (pw - po) - kBand * (std::abs(pw) + std::abs(po));
+    if (!(gap > 0.0)) {
+      // Inside the band — a near-tie, possibly distinct lines that round to
+      // equal priorities: re-decide on every query. Identical lines tie
+      // forever and keep their tie-break, so they need no certificate.
+      if (Bits(lw.anchor) != Bits(lo.anchor) || lw.coef != lo.coef) {
+        match_exp = t;
+      }
+    } else {
+      const double closing =
+          (lo.slope - lw.slope) + kBand * (lw.slope + lo.slope);
+      if (closing > 0.0) match_exp = t + gap / closing;
     }
   }
   nodes_[i].winner = winner;
@@ -235,40 +597,14 @@ bool KineticIndex::RefreshNode(int node, double now) {
   return w == nodes_[l].winner ? left_changed : right_changed;
 }
 
-int KineticIndex::DenseArgMax(SimTime now, double* priority) {
-  // Walks the packed parallel arrays — contiguous loads, no id indirection
-  // on the hot comparisons; ids are only consulted to break exact ties.
-  const size_t n = dense_ids_.size();
-  const double* const anchor = dense_anchor_.data();
-  const double* const coef = dense_coef_.data();
-  const bool ratio = mode_ == EvalMode::kRatio;
-  size_t best_pos = 0;
-  double best_priority = ratio ? (now - anchor[0]) / coef[0]
-                               : coef[0] * (now - anchor[0]);
-  for (size_t k = 1; k < n; ++k) {
-    const double p = ratio ? (now - anchor[k]) / coef[k]
-                           : coef[k] * (now - anchor[k]);
-    if (p > best_priority) {
-      best_pos = k;
-      best_priority = p;
-    } else if (p == best_priority) {
-      // Exact tie under the scan's own arithmetic: smallest (tie, id) wins,
-      // independent of the swap-removal order of the packed arrays.
-      if (dense_tie_[k] < dense_tie_[best_pos] ||
-          (dense_tie_[k] == dense_tie_[best_pos] &&
-           dense_ids_[k] < dense_ids_[best_pos])) {
-        best_pos = k;
-      }
+int KineticIndex::TreeArgMax(SimTime now, double* priority) {
+  if (--recount_countdown_ <= 0) {
+    recount_countdown_ = kRecountPeriod;
+    if (CountAnchorsUpTo(kTreeLeaveBuckets + 1) <= kTreeLeaveBuckets) {
+      LeaveTree();
+      return ArgMax(now, priority);
     }
   }
-  if (priority != nullptr) *priority = best_priority;
-  return dense_ids_[best_pos];
-}
-
-int KineticIndex::ArgMax(SimTime now, double* priority) {
-  if (size_ == 0) return -1;
-  last_time_ = now;
-  if (dense_) return DenseArgMax(now, priority);
   if (capacity_ > 1) {
     if (nodes_[1].subtree_exp <= now) RefreshNode(1, now);
   } else {
@@ -276,7 +612,10 @@ int KineticIndex::ArgMax(SimTime now, double* priority) {
     nodes_[1].subtree_exp = kInf;
   }
   const int winner = nodes_[1].winner;
-  if (priority != nullptr) *priority = Eval(winner, now);
+  if (priority != nullptr) {
+    ++line_evaluations_;
+    *priority = Eval(winner, now);
+  }
   return winner;
 }
 

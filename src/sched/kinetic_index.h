@@ -1,4 +1,4 @@
-// Kinetic tournament index over linearly-growing priorities.
+// Argmax index over linearly-growing priorities.
 //
 // The time-varying policies (LSF, BSD, clustered BSD) assign every ready
 // unit a priority that is a *linear function of the virtual clock*:
@@ -7,51 +7,81 @@
 //   BSD:        p_u(t) = phi_u * (t - a_u)          (slope phi_u)
 //   clustered:  p_c(t) = pseudo_c * (t - head_c)    (slope pseudo_c)
 //
-// where a_u is the head tuple's arrival time. The argmax over ready units is
-// therefore an upper-envelope query, which a kinetic tournament answers in
-// O(log n) amortized instead of the naive O(n) scan per scheduling point:
-// a complete binary tree holds one leaf per unit; each internal node caches
-// the winner of its two subtrees plus a *certificate* — the earliest time
-// the losing line could overtake the winning line. ArgMax(now) only
-// re-evaluates subtrees whose certificates have expired; inserts and erases
-// just mark their leaf-to-root path dirty (plain stores, no arithmetic) and
-// the next ArgMax re-runs the marked matches once, at the query time.
+// where a_u is the head tuple's arrival time (the line's *anchor*). The index
+// answers the argmax over ready units in one of two modes, chosen from the
+// distinct anchors it holds:
 //
-// The index is a hybrid: up to kDenseMaxCapacity slots it skips the tree
-// entirely and answers ArgMax with one exact evaluation per live line over
-// a flat array (see kDenseMaxCapacity for why small n favours that), then
-// switches to the tournament when it grows past the threshold. Both paths
-// implement identical semantics; which one answers is invisible to callers
-// except through dense()/node_recomputes().
+// Bucket mode (the common case). Live ids are grouped into buckets keyed by
+// the exact anchor value. With a single-stream workload every arrival fans
+// out to all subscribed units, so hundreds of ready units share a few dozen
+// anchors. Inside a bucket x = t - anchor is one shared value, and the
+// scan's arithmetic (`x / coef` or `coef * x`) is monotone in coef under IEEE
+// rounding: non-decreasing in coef for kScaled and in -coef for kRatio when
+// x >= 0, non-increasing when x < 0. Each bucket is kept sorted by that
+// dominance key (then tie key, then id), so its best line sits at one end —
+// the back for x >= 0, the front for x < 0 — and the members whose priority
+// equals the best form a contiguous run from that end. ArgMax evaluates one
+// line per bucket, takes the maximum, and walks the equal-priority run of
+// each bucket that reached it to pick the smallest (tie, id). That is exact
+// with no precondition: near-ties that round equal, x = 0 (every member of
+// the bucket ties) and anchors ahead of `now` all fall out of the same walk.
+//
+// Tree mode (many distinct anchors). A kinetic tournament: a complete binary
+// tree holds one leaf per id; each internal node caches the winner of its
+// two subtrees plus a *certificate* — a time before which that match cannot
+// flip (see below). ArgMax(now) only re-evaluates subtrees
+// whose certificates have expired; inserts and erases just mark their
+// leaf-to-root path dirty and the next ArgMax re-runs the marked matches
+// once, at the query time. O(log n) amortized whatever the anchors.
+//
+// The switch rule. A bucket scan costs one evaluation per bucket, so it wins
+// while buckets are few and loses to the tree's O(log n) once they are many
+// (a pick re-keys the winner of every match on its leaf-to-root path, so the
+// tree replays ~log n matches per pick; the bucket scan replaces that with a
+// flat pass). The index starts in bucket mode and enters tree mode as soon as
+// an insert pushes the live bucket count past kTreeEnterBuckets; entering
+// rebuilds the tree from the stored lines. Tree mode keeps no buckets, so
+// every kRecountPeriod queries it counts the distinct live anchors (stopping
+// early past the limit) and returns to bucket mode once there are at most
+// kTreeLeaveBuckets. The gap between the two thresholds and the recount
+// period bound how often the mode can flip. Which mode answers is invisible
+// to callers except through tree_mode(), bucket_count() and
+// line_evaluations().
 //
 // Bit-identical contract: the index must return exactly the unit the linear
 // scan in basic_policies.cc / clustered_bsd.cc would return, including its
 // priority *value* with identical floating-point rounding. Two rules make
-// that hold:
+// that hold in both modes:
 //
-//  1. Matches are decided by evaluating the scan's own arithmetic
-//     (EvalMode::kRatio = `(t - anchor) / coef`, EvalMode::kScaled =
-//     `coef * (t - anchor)`), never by rearranged line algebra. Certificates
-//     are merely conservative *re-check times*; a pessimistic certificate
-//     costs a re-evaluation, never a wrong answer.
+//  1. Comparisons evaluate the scan's own arithmetic (EvalMode::kRatio =
+//     `(t - anchor) / coef`, EvalMode::kScaled = `coef * (t - anchor)`),
+//     never rearranged line algebra. Tree certificates are merely
+//     conservative *re-check times*; a pessimistic certificate costs a
+//     re-evaluation, never a wrong answer.
 //  2. Ties reproduce the scan's iteration order: the scan iterates an
 //     ordered set and keeps the first maximum (strict `>`), so ties go to
 //     the smallest (tie_key, id) pair. LSF/BSD pass tie_key = 0 (lowest id
 //     wins, matching std::set<int>); clustered BSD passes tie_key =
 //     head time (matching its std::set<pair<SimTime, cluster>>).
 //
-// Certificates are computed from the algebraic crossover of the two lines
-// minus a relative safety margin of 1e-9 (orders of magnitude wider than
-// the rounding error of the certificate arithmetic), clamped to be no
-// earlier than the evaluation time; a certificate that keeps landing at
-// "now" simply degrades that node to re-check-per-query, which is the safe
-// direction.
+// A tree certificate is the time at which the exact gap between the two
+// lines could shrink to a guard band of 1e-9 * (|p_w| + |p_o|), orders of
+// magnitude wider than the rounding of either evaluation; while the gap
+// stays outside the band the computed comparison cannot flip. A match
+// already inside the band (a near-tie, including distinct lines that round
+// to equal priorities) gets the certificate "now" and is re-decided on
+// every query, which is the safe direction.
+//
+// Measured effect (arrivals per second and traced pick cost on the
+// benchmark's paper_q500 workload, with provenance): docs/performance.md.
 
 #ifndef AQSIOS_SCHED_KINETIC_INDEX_H_
 #define AQSIOS_SCHED_KINETIC_INDEX_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -70,11 +100,11 @@ class KineticIndex {
 
   explicit KineticIndex(EvalMode mode) : mode_(mode) {}
 
-  /// Pre-sizes the tree for ids in [0, max_ids) and clears it. The index
-  /// grows on demand if a larger id is inserted later.
+  /// Pre-sizes the index for ids in [0, max_ids), clears it and returns it to
+  /// bucket mode. The index grows on demand if a larger id is inserted later.
   void Reserve(int max_ids);
 
-  /// Removes all entries (capacity and clock are kept).
+  /// Removes all entries (capacity, mode and clock are kept).
   void Clear();
 
   /// Inserts id with the given line, or re-keys it if already present.
@@ -102,30 +132,48 @@ class KineticIndex {
     return Eval(id, t);
   }
 
-  /// Internal-node recomputations since construction — the work an ArgMax /
-  /// Insert / Erase actually did (test + benchmark introspection; a valid
-  /// root certificate makes ArgMax O(1)). Always 0 while the index is in
-  /// its dense small-n mode, which keeps no tree at all.
-  int64_t node_recomputes() const { return node_recomputes_; }
+  /// Priority lines evaluated since construction, in either mode: one per
+  /// bucket scanned plus one per run member walked in bucket mode, two per
+  /// tournament match replayed plus one for the returned priority in tree
+  /// mode. Deterministic for a given operation sequence, so tests and
+  /// benchmarks can count the work an ArgMax did (a valid root certificate
+  /// makes a tree-mode ArgMax evaluate nothing).
+  int64_t line_evaluations() const { return line_evaluations_; }
 
-  /// Whether the index is currently answering queries with the dense linear
-  /// fast path instead of the tournament tree (introspection).
-  bool dense() const { return dense_; }
+  /// Whether the index currently answers with the tournament tree instead
+  /// of the bucket scan (introspection).
+  bool tree_mode() const { return tree_; }
+
+  /// Live anchor buckets while in bucket mode; 0 in tree mode, which keeps
+  /// no buckets (introspection).
+  int bucket_count() const { return static_cast<int>(buckets_.size()); }
 
   /// Full wipes (Clear calls) since construction. The calibration re-key
   /// path must never trigger one — tests pin this counter to prove re-keys
-  /// stay incremental (Insert-on-existing-id + dirty-marking) instead of
-  /// degenerating into rebuild-the-world.
+  /// stay incremental (Insert-on-existing-id) instead of degenerating into
+  /// rebuild-the-world.
   int64_t clears() const { return clears_; }
 
-  /// Largest capacity served by the dense fast path. Below this size the
-  /// tournament's ~log n match replays per re-key cost more than simply
-  /// evaluating every line over a flat array (a pick re-keys the picked
-  /// unit, which was the winner of every match on its leaf-to-root path, so
-  /// the whole path must be replayed — certificates cannot save it). The
-  /// crossover sits past a hundred units on current hardware; above it the
-  /// tree's O(log n) takes over.
-  static constexpr int kDenseMaxCapacity = 128;
+  /// Bucket mode hands over to the tree when an insert makes the live
+  /// bucket count exceed this: sixty one-line buckets still pick in well
+  /// under the time of a 512-leaf tournament (BENCH_perf.json,
+  /// pick/bsd/n=60 vs pick/bsd/n=500, measured on one host).
+  static constexpr int kTreeEnterBuckets = 64;
+  /// Tree mode hands back to the bucket scan when a recount finds at most
+  /// this many distinct live anchors.
+  static constexpr int kTreeLeaveBuckets = 32;
+  /// Tree-mode ArgMax calls between two distinct-anchor recounts.
+  static constexpr int kRecountPeriod = 1024;
+  /// Slots of the anchor -> bucket table: at least three per live bucket,
+  /// so linear probes stay short.
+  static constexpr size_t kAnchorSlots = 256;
+  static_assert(kAnchorSlots >= 3 * (kTreeEnterBuckets + 1));
+  /// The table is kept only while there are more buckets than a short scan
+  /// of the anchors handles as fast: it is built when the bucket count
+  /// exceeds kAnchorTableOnBuckets and dropped when a release leaves at
+  /// most kAnchorTableOffBuckets.
+  static constexpr int kAnchorTableOnBuckets = 16;
+  static constexpr int kAnchorTableOffBuckets = 8;
 
  private:
   double Eval(int slot, double t) const {
@@ -133,6 +181,92 @@ class KineticIndex {
     return mode_ == EvalMode::kRatio ? (t - line.anchor) / line.coef
                                      : line.coef * (t - line.anchor);
   }
+
+  /// Stores id's line: anchor, coefficient, tie key, and in tree mode the
+  /// slope its certificates need (EnterTree derives it for the rest).
+  void SetLine(int id, double anchor, double coef, double tie_key);
+
+  // --- bucket mode ---------------------------------------------------------
+
+  /// A bucket member: the id with its coefficient and tie key kept inline,
+  /// so ordering and run walks never touch `lines_`.
+  struct Member {
+    double coef;
+    double tie;
+    int id;
+  };
+
+  /// The scan's tie-break: smaller (tie key, id) first.
+  static bool TieBreaksBefore(const Member& a, const Member& b) {
+    return a.tie != b.tie ? a.tie < b.tie : a.id < b.id;
+  }
+
+  /// Bucket mode: one record per live bucket. `back` and `front` copy the
+  /// bucket's last and first member (the same member for a one-line
+  /// bucket). The bucket's anchor sits at the same position in `anchors_`.
+  struct Bucket {
+    Member back;
+    Member front;
+    int handle;  // index into members_ / head_pos_
+  };
+
+  /// Bucket order: ascending dominance key (coef for kScaled, -coef for
+  /// kRatio), then tie key, then id.
+  bool Precedes(const Member& a, const Member& b) const;
+
+  /// Position of the live bucket with this anchor value, or -1.
+  int FindBucket(double anchor) const;
+
+  /// Adds / removes the anchor table entry of a live bucket's anchor.
+  void MapAnchor(double anchor, int handle);
+  void UnmapAnchor(double anchor);
+
+  /// Swap-removes the bucket at `pos` and recycles its handle.
+  void ReleaseBucket(size_t pos);
+
+  /// Adds live id (its line already stored) to the bucket at `pos` — the
+  /// FindBucket answer for its anchor — or opens one when `pos` is -1, and
+  /// enters tree mode when that makes too many.
+  void AddToBucket(int id, int pos);
+
+  /// Removes live id from its bucket; releases the bucket when it empties.
+  void RemoveFromBucket(int id);
+
+  /// The scan's priority for the best end of the bucket at `pos`.
+  template <EvalMode kMode>
+  double BucketPriority(size_t pos, double now) const {
+    const double x = now - anchors_[pos];
+    const double coef = x >= 0.0 ? buckets_[pos].back.coef
+                                 : buckets_[pos].front.coef;
+    return kMode == EvalMode::kRatio ? x / coef : coef * x;
+  }
+
+  /// Empties every bucket, keeping the member vectors for reuse.
+  void DropBuckets();
+
+  /// Switches to tree mode, rebuilding the tree from the stored lines.
+  void EnterTree();
+
+  /// Switches to bucket mode, rebuilding the buckets from the stored lines.
+  void LeaveTree();
+
+  /// Walks the run of bucket `pos` whose priority equals `best` (from the
+  /// end the scan evaluated), one coefficient group at a time, and folds
+  /// its smallest (tie, id) into *winner.
+  void ResolveRun(size_t pos, double now, double best, Member* winner);
+
+  template <EvalMode kMode>
+  int BucketArgMax(SimTime now, double* priority);
+
+  /// BucketArgMax's slow path: the winning bucket has a run to walk, other
+  /// buckets tied it, or the maximum is zero. Kept out of line so the scan
+  /// stays a leaf function with few live registers.
+  template <EvalMode kMode>
+  [[gnu::noinline]] int ResolveTies(SimTime now, double best,
+                                    size_t best_pos, bool tied,
+                                    double* priority);
+
+  // --- tree mode -----------------------------------------------------------
 
   /// Re-derives winner, match certificate, and subtree expiry of internal
   /// node `node` from its children, evaluating the match at time `t`.
@@ -150,27 +284,30 @@ class KineticIndex {
   /// matches at the freshest possible clock.
   void MarkPath(int slot);
 
-  /// Rebuilds the whole tree for a new leaf capacity (power of two).
+  /// Rebuilds the whole tree over the stored lines at leaf capacity
+  /// `new_capacity` (a power of two).
   void Rebuild(int new_capacity);
 
-  /// Dense-mode ArgMax: one exact Eval per live id, running lexicographic
-  /// (priority desc, tie asc, id asc) best — identical semantics to the
-  /// tree, with zero maintenance on Insert/Erase.
-  int DenseArgMax(SimTime now, double* priority);
+  /// Distinct anchors among the live lines, counting no further than
+  /// `limit`.
+  int CountAnchorsUpTo(int limit);
+
+  int TreeArgMax(SimTime now, double* priority);
 
   EvalMode mode_;
-  bool dense_ = true;  // small indexes start dense; Reserve/growth decide
-  int capacity_ = 0;  // leaf slots, power of two (0 until first Reserve)
+  bool tree_ = false;
+  int capacity_ = 0;  // id slots, power of two (0 until first Reserve)
   int size_ = 0;
-  /// Latest ArgMax query time; a mid-stream Rebuild evaluates its matches
-  /// here (the clock is monotone, so this is the most recent — and
-  /// therefore tightest — evaluation point available).
+  /// Latest ArgMax query time; a Rebuild evaluates its matches here (the
+  /// clock is monotone, so this is the most recent — and therefore
+  /// tightest — evaluation point available).
   double last_time_ = 0.0;
-  int64_t node_recomputes_ = 0;
+  int recount_countdown_ = kRecountPeriod;
+  int64_t line_evaluations_ = 0;
   int64_t clears_ = 0;
 
-  /// Per-leaf-slot line state (indexed by id): 32 bytes, two lines per cache
-  /// line, so one Eval plus the tie-break touch at most one line of memory.
+  /// Per-id line state: 32 bytes, two lines per cache line, so one Eval plus
+  /// the tie-break touch at most one line of memory.
   struct Line {
     double anchor = 0.0;
     double coef = 1.0;
@@ -178,27 +315,45 @@ class KineticIndex {
     double tie = 0.0;
   };
 
-  /// Tournament node, fused for the same reason. Nodes 1..2*capacity_-1,
-  /// leaves at capacity_ + slot. Leaves use only `winner` (the slot, or -1
-  /// when vacant) and `subtree_exp` (-inf dirty marker, +inf otherwise).
+  std::vector<char> occupied_;
+  std::vector<Line> lines_;
+
+  /// The live buckets (bucket mode) and, at the same positions, their
+  /// anchors, packed for the ArgMax scan.
+  std::vector<Bucket> buckets_;
+  std::vector<double> anchors_;
+  /// No live bucket's anchor exceeds this (-inf when there are none).
+  double anchor_ceiling_ = -std::numeric_limits<double>::infinity();
+  /// Open-addressing map (linear probing, backward-shift deletion) from an
+  /// anchor's key to its bucket's handle; handle -1 marks an empty slot.
+  /// Consulted and maintained only while `anchor_table_live_`.
+  struct AnchorSlot {
+    uint64_t key = 0;
+    int handle = -1;
+  };
+  std::array<AnchorSlot, kAnchorSlots> anchor_table_{};
+  bool anchor_table_live_ = false;
+
+  /// Members of each bucket handle with two or more lines, sorted by
+  /// Precedes; empty for a one-line bucket, whose line lives in its record
+  /// alone, so opening, re-keying and closing one-line buckets never touches
+  /// these vectors. A vector keeps its capacity across reuse of its handle.
+  std::vector<std::vector<Member>> members_;
+  std::vector<int> head_pos_;      // handle -> position in buckets_
+  std::vector<int> free_handles_;  // released handles
+  std::vector<int> bucket_of_;     // id -> handle (live ids, bucket mode)
+  std::vector<uint64_t> anchor_scratch_;  // CountAnchorsUpTo working set
+
+  /// Tree mode: tournament nodes 1..2*capacity_-1, leaves at capacity_ +
+  /// slot. Leaves use only `winner` (the slot, or -1 when vacant) and
+  /// `subtree_exp` (-inf dirty marker, +inf otherwise). Fused so a match
+  /// touches one cache line per child.
   struct Node {
     int winner = -1;          // winning slot of the subtree, -1 when empty
     double match_exp = 0.0;   // earliest time this node's match can flip
     double subtree_exp = 0.0; // min over subtree: match expiries + dirt
   };
-
-  std::vector<char> occupied_;
-  std::vector<Line> lines_;
   std::vector<Node> nodes_;
-  /// Dense mode only: the live ids in arbitrary order (swap-removed), each
-  /// id's position in that list (-1 when absent), and the live lines packed
-  /// in the same order as parallel arrays — the ArgMax scan walks contiguous
-  /// memory with no per-element indirection.
-  std::vector<int> dense_ids_;
-  std::vector<int> dense_pos_;
-  std::vector<double> dense_anchor_;
-  std::vector<double> dense_coef_;
-  std::vector<double> dense_tie_;
 };
 
 }  // namespace aqsios::sched

@@ -1,20 +1,26 @@
 // KineticIndex correctness: randomized equivalence against a brute-force
-// reference (both eval modes, dense and tournament-tree regimes, and the
-// dense-to-tree growth switch), golden-trace equivalence of the kinetic
-// schedulers against their naive scan twins (picks *and* simulated
-// SchedulingCost charges), and full-simulation equality kinetic on vs off.
+// reference (both eval modes; distinct-anchor traces in both the bucket and
+// tournament-tree regimes; shared-anchor traces with rounding near-ties,
+// colliding tie keys, anchors at and ahead of the clock, and forced
+// bucket<->tree switches), the switch rule itself, golden-trace equivalence
+// of the kinetic schedulers against their naive scan twins (picks *and*
+// simulated SchedulingCost charges), and full-simulation equality kinetic on
+// vs off.
 
 #include "sched/kinetic_index.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <random>
 #include <vector>
 
 #include "core/dsms.h"
+#include "core/report.h"
 #include "query/workload.h"
 #include "sched/basic_policies.h"
 #include "sched/clustered_bsd.h"
@@ -104,7 +110,8 @@ void RunRandomizedTrace(KineticIndex::EvalMode mode, int max_id, int steps,
 }
 
 TEST(KineticIndexTest, RandomizedTraceDenseRatio) {
-  // max_id 60 <= kDenseMaxCapacity: the whole trace runs in dense mode.
+  // max_id 60 < kTreeEnterBuckets: even with every anchor distinct the whole
+  // trace runs as a bucket scan over single-member buckets.
   RunRandomizedTrace(KineticIndex::EvalMode::kRatio, 60, 4000, 0xA1, true);
 }
 
@@ -113,7 +120,8 @@ TEST(KineticIndexTest, RandomizedTraceDenseScaled) {
 }
 
 TEST(KineticIndexTest, RandomizedTraceTreeRatio) {
-  // max_id 600 forces the tournament tree (capacity 1024 > 128).
+  // max_id 600 with continuous anchors: hundreds of distinct anchors keep
+  // the index in tree mode.
   RunRandomizedTrace(KineticIndex::EvalMode::kRatio, 600, 4000, 0xC3, true);
 }
 
@@ -122,65 +130,323 @@ TEST(KineticIndexTest, RandomizedTraceTreeScaled) {
 }
 
 TEST(KineticIndexTest, RandomizedTraceGrowthSwitch) {
-  // No Reserve: the index starts dense at capacity 1 and crosses into tree
-  // mode mid-trace when an id past kDenseMaxCapacity arrives.
+  // No Reserve: the index starts at capacity 1, grows on demand, and crosses
+  // into tree mode mid-trace once the distinct anchors pass the bucket
+  // limit.
   RunRandomizedTrace(KineticIndex::EvalMode::kScaled, 400, 4000, 0xE5, false);
 }
 
-TEST(KineticIndexTest, DenseModeFlagTracksCapacity) {
-  KineticIndex index(KineticIndex::EvalMode::kScaled);
-  index.Reserve(60);
-  EXPECT_TRUE(index.dense());
-  index.Insert(5, 0.0, 1.0);
-  EXPECT_EQ(index.ArgMax(1.0), 5);
-  EXPECT_EQ(index.node_recomputes(), 0) << "dense mode keeps no tree";
-  // Inserting an id past the dense cap flips the index to the tournament;
-  // the existing entry must survive the switch.
-  index.Insert(KineticIndex::kDenseMaxCapacity + 1, 0.0, 2.0);
-  EXPECT_FALSE(index.dense());
-  EXPECT_EQ(index.size(), 2);
-  EXPECT_EQ(index.ArgMax(1.0), KineticIndex::kDenseMaxCapacity + 1);
-  index.Erase(KineticIndex::kDenseMaxCapacity + 1);
-  EXPECT_EQ(index.ArgMax(1.0), 5);
+/// Drives the index and the reference through a trace whose lines actually
+/// share anchors: anchors come from a pool of 8 values (queries sometimes
+/// land exactly on one, giving x = 0, and early on most lie ahead of `now`),
+/// coefficients from a small pool plus their std::nextafter neighbours (so
+/// distinct coefficients round to equal priorities), and tie keys collide.
+/// Bursts of distinct anchors force the index into tree mode, long query
+/// runs let the recount hand it back to the buckets, and Clear/Reserve
+/// happen mid-trace. Returns how many bucket<->tree switches were observed.
+int RunBucketedTrace(KineticIndex::EvalMode mode, int max_id, int steps,
+                     uint64_t seed) {
+  KineticIndex index(mode);
+  index.Reserve(max_id);
+  std::map<int, RefLine> reference;
+  std::mt19937_64 rng(seed);
+  const std::vector<double> anchor_pool = {0.0, 0.25, 1.0,  2.5,
+                                           2.5000000000000004, 4.0, 6.1, 9.3};
+  std::vector<double> coef_pool;
+  for (const double base : {0.1, 0.3, 1.0, 1.7, 3.0}) {
+    coef_pool.push_back(base);
+    coef_pool.push_back(std::nextafter(base, 0.0));
+    coef_pool.push_back(std::nextafter(base, 10.0));
+    coef_pool.push_back(std::nextafter(std::nextafter(base, 10.0), 10.0));
+  }
+  std::uniform_int_distribution<int> id_dist(0, max_id - 1);
+  std::uniform_int_distribution<size_t> anchor_pick(0, anchor_pool.size() - 1);
+  std::uniform_int_distribution<size_t> coef_pick(0, coef_pool.size() - 1);
+  std::uniform_int_distribution<int> tie_dist(0, 2);
+  std::uniform_int_distribution<int> op_dist(0, 999);
+  std::uniform_real_distribution<double> step_dist(0.0, 0.02);
+  double now = 0.0;
+  int switches = 0;
+  bool was_tree = index.tree_mode();
+  const auto query = [&](int step) {
+    double expected_priority = 0.0;
+    const int expected =
+        ReferenceArgMax(reference, mode, now, &expected_priority);
+    double actual_priority = 0.0;
+    const int actual = index.ArgMax(now, &actual_priority);
+    if (index.tree_mode() != was_tree) {
+      ++switches;
+      was_tree = index.tree_mode();
+    }
+    ASSERT_EQ(actual, expected) << "step " << step << " now=" << now
+                                << " tree=" << index.tree_mode()
+                                << " p=" << actual_priority << " vs "
+                                << expected_priority;
+    if (expected >= 0) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(actual_priority),
+                std::bit_cast<uint64_t>(expected_priority))
+          << "step " << step;
+    }
+  };
+  for (int step = 0; step < steps; ++step) {
+    const int op = op_dist(rng);
+    if (op < 450) {  // insert or re-key on the pooled lines
+      const int id = id_dist(rng);
+      RefLine line;
+      line.anchor = anchor_pool[anchor_pick(rng)];
+      line.coef = coef_pool[coef_pick(rng)];
+      line.tie = static_cast<double>(tie_dist(rng));
+      reference[id] = line;
+      index.Insert(id, line.anchor, line.coef, line.tie);
+    } else if (op < 650) {  // erase
+      const int id = id_dist(rng);
+      reference.erase(id);
+      index.Erase(id);
+    } else if (op < 990) {  // query, sometimes exactly at a pooled anchor
+      if (op < 700) {
+        const double target = anchor_pool[anchor_pick(rng)];
+        if (target >= now) now = target;
+      } else {
+        now += step_dist(rng);
+      }
+      query(step);
+    } else if (op < 995) {
+      // Burst: re-key ids onto distinct anchors until the buckets overflow
+      // (tree mode), query, then fold them back onto the pool and run long
+      // enough for the recount to hand the index back to the buckets.
+      const int burst = KineticIndex::kTreeEnterBuckets + 8;
+      for (int k = 0; k < burst; ++k) {
+        const int id = id_dist(rng);
+        RefLine line;
+        line.anchor = 20.0 + 0.37 * k + 0.001 * step;
+        line.coef = coef_pool[coef_pick(rng)];
+        line.tie = static_cast<double>(tie_dist(rng));
+        reference[id] = line;
+        index.Insert(id, line.anchor, line.coef, line.tie);
+      }
+      query(step);
+      for (auto& [id, line] : reference) {
+        if (line.anchor >= 20.0) {
+          line.anchor = anchor_pool[anchor_pick(rng)];
+          index.Insert(id, line.anchor, line.coef, line.tie);
+        }
+      }
+      for (int q = 0; q <= KineticIndex::kRecountPeriod &&
+                      !::testing::Test::HasFatalFailure();
+           ++q) {
+        now += 1e-4;
+        query(step);
+      }
+    } else if (op < 998) {
+      reference.clear();
+      index.Clear();
+    } else {
+      reference.clear();
+      index.Reserve(max_id);
+      was_tree = index.tree_mode();
+    }
+    if (::testing::Test::HasFatalFailure()) return switches;
+    EXPECT_EQ(index.size(), static_cast<int>(reference.size()));
+  }
+  return switches;
 }
 
-TEST(KineticIndexTest, ReserveAboveCapGoesStraightToTree) {
+TEST(KineticIndexTest, RandomizedBucketedTraceRatio) {
+  const int switches =
+      RunBucketedTrace(KineticIndex::EvalMode::kRatio, 300, 6000, 0x51);
+  EXPECT_GE(switches, 4) << "the trace must cross the mode switch";
+}
+
+TEST(KineticIndexTest, RandomizedBucketedTraceScaled) {
+  const int switches =
+      RunBucketedTrace(KineticIndex::EvalMode::kScaled, 300, 6000, 0x52);
+  EXPECT_GE(switches, 4) << "the trace must cross the mode switch";
+}
+
+TEST(KineticIndexTest, RandomizedBucketedTraceSmallIds) {
+  // 40 ids never exceed the bucket limit: a pure bucket-mode trace with
+  // large shared buckets.
+  for (const auto mode :
+       {KineticIndex::EvalMode::kRatio, KineticIndex::EvalMode::kScaled}) {
+    RunBucketedTrace(mode, 40, 6000, 0x53);
+  }
+}
+
+TEST(KineticIndexTest, SharedAnchorsFormOneBucketEach) {
+  KineticIndex index(KineticIndex::EvalMode::kScaled);
+  index.Reserve(400);
+  // 300 lines over 3 anchors: three buckets, never the tree.
+  for (int id = 0; id < 300; ++id) {
+    index.Insert(id, static_cast<double>(id % 3), 1.0 + 0.01 * id);
+  }
+  EXPECT_FALSE(index.tree_mode());
+  EXPECT_EQ(index.bucket_count(), 3);
+  // Best at t=10: max over anchors a of (10 - a) * coef — anchor 0 with the
+  // steepest member of that bucket (id 297, coef 3.97).
+  const int64_t before = index.line_evaluations();
+  double priority = 0.0;
+  EXPECT_EQ(index.ArgMax(10.0, &priority), 297);
+  EXPECT_EQ(priority, (1.0 + 0.01 * 297) * 10.0);
+  // One evaluation per bucket plus one neighbour check in the winner's run.
+  EXPECT_EQ(index.line_evaluations() - before, 4);
+}
+
+TEST(KineticIndexTest, BucketCountTracksDistinctAnchors) {
+  // One bucket per distinct live anchor, whatever path the anchor lookup
+  // takes (a scan for few buckets, a hash table for many): phases that grow
+  // the anchor set past the table threshold alternate with phases that
+  // drain it to a handful of lines, with re-keys throughout.
+  KineticIndex index(KineticIndex::EvalMode::kScaled);
+  index.Reserve(300);
+  std::map<int, double> anchor_of;
+  std::mt19937_64 rng(0x7AB1E);
+  std::uniform_int_distribution<int> id_dist(0, 299);
+  std::uniform_int_distribution<int> anchor_dist(0, 49);
+  const auto check = [&](int phase) {
+    std::map<double, int> distinct;
+    for (const auto& entry : anchor_of) ++distinct[entry.second];
+    ASSERT_FALSE(index.tree_mode());
+    ASSERT_EQ(index.bucket_count(), static_cast<int>(distinct.size()))
+        << "phase " << phase;
+  };
+  for (int phase = 0; phase < 6; ++phase) {
+    for (int step = 0; step < 400; ++step) {  // grow and re-key
+      const int id = id_dist(rng);
+      const double anchor = 0.5 * anchor_dist(rng);
+      anchor_of[id] = anchor;
+      index.Insert(id, anchor, 1.0 + id);
+      check(phase);
+    }
+    while (anchor_of.size() > 3) {  // drain, re-keying now and then
+      auto it = anchor_of.begin();
+      std::advance(it, static_cast<long>(rng() % anchor_of.size()));
+      if (rng() % 4 == 0) {
+        it->second = 0.5 * anchor_dist(rng);
+        index.Insert(it->first, it->second, 1.0 + it->first);
+      } else {
+        index.Erase(it->first);
+        anchor_of.erase(it);
+      }
+      check(phase);
+    }
+  }
+}
+
+TEST(KineticIndexTest, EqualCoefficientsTieToSmallestTieThenId) {
+  // A whole bucket of equal lines: the run walk must reach the smallest
+  // (tie, id) wherever it sits in the bucket, on both sides of the anchor.
+  for (const auto mode :
+       {KineticIndex::EvalMode::kRatio, KineticIndex::EvalMode::kScaled}) {
+    KineticIndex index(mode);
+    index.Reserve(16);
+    for (int id = 0; id < 10; ++id) {
+      index.Insert(id, 5.0, 2.0, /*tie_key=*/static_cast<double>(9 - id % 4));
+    }
+    // Ties 9,8,7,6,9,8,7,6,9,8 by id: smallest tie 6 at ids 3 and 7.
+    EXPECT_EQ(index.ArgMax(8.0), 3);   // x > 0
+    KineticIndex ahead(mode);
+    ahead.Reserve(16);
+    for (int id = 0; id < 10; ++id) {
+      ahead.Insert(id, 5.0, 2.0, static_cast<double>(9 - id % 4));
+    }
+    EXPECT_EQ(ahead.ArgMax(4.0), 3);   // x < 0: anchor ahead of now
+    EXPECT_EQ(ahead.ArgMax(5.0), 3);   // x = 0
+  }
+}
+
+TEST(KineticIndexTest, BucketModeEntersTreePastBucketLimit) {
+  KineticIndex index(KineticIndex::EvalMode::kScaled);
+  index.Reserve(200);
+  EXPECT_FALSE(index.tree_mode()) << "a fresh index starts in bucket mode";
+  for (int id = 0; id < KineticIndex::kTreeEnterBuckets; ++id) {
+    index.Insert(id, static_cast<double>(id), 1.0);
+  }
+  EXPECT_FALSE(index.tree_mode());
+  EXPECT_EQ(index.bucket_count(), KineticIndex::kTreeEnterBuckets);
+  // Joining an existing anchor opens no bucket.
+  index.Insert(150, 5.0, 2.0);
+  EXPECT_FALSE(index.tree_mode());
+  EXPECT_EQ(index.bucket_count(), KineticIndex::kTreeEnterBuckets);
+  // One more distinct anchor crosses the limit; every entry survives the
+  // rebuild and the answer is unchanged.
+  EXPECT_EQ(index.ArgMax(100.0), 150);  // 2 * (100 - 5) beats 1 * (100 - 0)
+  index.Insert(151, 99.5, 1.0);
+  EXPECT_TRUE(index.tree_mode());
+  EXPECT_EQ(index.bucket_count(), 0) << "tree mode keeps no buckets";
+  EXPECT_EQ(index.size(), KineticIndex::kTreeEnterBuckets + 2);
+  EXPECT_EQ(index.ArgMax(100.0), 150);
+  index.Erase(150);
+  EXPECT_EQ(index.ArgMax(100.0), 0);
+}
+
+TEST(KineticIndexTest, TreeModeReturnsToBucketsAfterRecount) {
   KineticIndex index(KineticIndex::EvalMode::kRatio);
-  index.Reserve(500);
-  EXPECT_FALSE(index.dense());
-  index.Insert(400, 0.0, 2.0);
-  index.Insert(7, 0.0, 4.0);
-  // (now - 0) / 2 > (now - 0) / 4.
-  EXPECT_EQ(index.ArgMax(8.0), 400);
-  EXPECT_GT(index.node_recomputes(), 0);
+  index.Reserve(200);
+  const int distinct = KineticIndex::kTreeEnterBuckets + 1;
+  for (int id = 0; id < distinct; ++id) {
+    index.Insert(id, static_cast<double>(id), 1.0 + id);
+  }
+  ASSERT_TRUE(index.tree_mode());
+  // Down to one anchor above the leave threshold: recounts keep the tree.
+  for (int id = KineticIndex::kTreeLeaveBuckets + 1; id < distinct; ++id) {
+    index.Erase(id);
+  }
+  double t = 1000.0;
+  for (int q = 0; q < 2 * KineticIndex::kRecountPeriod; ++q) {
+    index.ArgMax(t += 0.5);
+  }
+  EXPECT_TRUE(index.tree_mode()) << "hysteresis: 33 anchors stay in the tree";
+  // At the threshold the next recount hands back to the bucket scan, with
+  // the same answers.
+  index.Erase(KineticIndex::kTreeLeaveBuckets);
+  const int expected = index.ArgMax(t);
+  for (int q = 0; q < KineticIndex::kRecountPeriod; ++q) {
+    EXPECT_EQ(index.ArgMax(t), expected);
+  }
+  EXPECT_FALSE(index.tree_mode());
+  EXPECT_EQ(index.bucket_count(), KineticIndex::kTreeLeaveBuckets);
+  EXPECT_EQ(index.ArgMax(t), expected);
 }
 
 TEST(KineticIndexTest, TreeCertificatesSuppressRecomputes) {
   // With static lines and a monotone clock, repeated queries after the first
-  // must ride the root certificate (no recomputation) until a crossover.
+  // must ride the root certificate (no line evaluated) until a crossover.
   KineticIndex index(KineticIndex::EvalMode::kScaled);
-  index.Reserve(500);  // tree mode
+  index.Reserve(500);
   // Line A: 1.0 * (t - 0)  — wins early. Line B: 10 * (t - 9) — overtakes at
   // t = 10.
   index.Insert(0, 0.0, 1.0);
   index.Insert(300, 9.0, 10.0);
+  // Fillers on distinct anchors ahead of the clock put the index in tree
+  // mode; they never win and, at A's slope, never cross it.
+  for (int k = 0; k < KineticIndex::kTreeEnterBuckets; ++k) {
+    index.Insert(100 + k, 50.0 + k, 1.0);
+  }
+  ASSERT_TRUE(index.tree_mode());
   EXPECT_EQ(index.ArgMax(9.5), 0);
-  const int64_t after_first = index.node_recomputes();
+  const int64_t after_first = index.line_evaluations();
   EXPECT_EQ(index.ArgMax(9.6), 0);
   EXPECT_EQ(index.ArgMax(9.7), 0);
-  EXPECT_EQ(index.node_recomputes(), after_first)
+  EXPECT_EQ(index.line_evaluations(), after_first)
       << "queries inside the certificate window must be O(1)";
   EXPECT_EQ(index.ArgMax(11.0), 300) << "crossover must be noticed";
 }
 
 TEST(KineticIndexTest, ClearEmptiesBothModes) {
-  for (const int reserve : {60, 500}) {
+  for (const bool tree : {false, true}) {
     KineticIndex index(KineticIndex::EvalMode::kScaled);
-    index.Reserve(reserve);
+    index.Reserve(500);
     index.Insert(1, 0.0, 1.0);
     index.Insert(2, 0.0, 2.0);
+    if (tree) {
+      for (int k = 0; k < KineticIndex::kTreeEnterBuckets; ++k) {
+        index.Insert(100 + k, 1.0 + k, 1.0);
+      }
+    }
+    ASSERT_EQ(index.tree_mode(), tree);
     index.Clear();
     EXPECT_TRUE(index.empty());
+    EXPECT_EQ(index.tree_mode(), tree) << "Clear keeps the mode";
     EXPECT_EQ(index.ArgMax(5.0), -1);
     index.Insert(3, 0.0, 1.0);
     EXPECT_EQ(index.ArgMax(5.0), 3);
@@ -308,13 +574,19 @@ TEST(KineticEquivalenceTest, ClusteredBsdGoldenTrace) {
 // ---------------------------------------------------------------------------
 // Full-simulation equality.
 
-core::RunResult RunSim(sched::PolicyConfig config, bool kinetic,
-                       bool charge_overhead) {
+query::WorkloadConfig TestbedConfig(int queries, int64_t arrivals) {
   query::WorkloadConfig workload_config;
-  workload_config.num_queries = 24;
-  workload_config.num_arrivals = 3000;
+  workload_config.num_queries = queries;
+  workload_config.num_arrivals = arrivals;
   workload_config.seed = 42;
   workload_config.utilization = 0.9;
+  return workload_config;
+}
+
+core::RunResult RunSim(sched::PolicyConfig config, bool kinetic,
+                       bool charge_overhead,
+                       const query::WorkloadConfig& workload_config =
+                           TestbedConfig(24, 3000)) {
   const query::Workload workload = query::GenerateWorkload(workload_config);
   config.use_kinetic_index = kinetic;
   config.clustered.use_kinetic_index = kinetic;
@@ -347,6 +619,27 @@ TEST(KineticEquivalenceTest, SimulationBitIdenticalKineticOnOff) {
       const auto config = PolicyConfig::Of(kind);
       ExpectSameRun(RunSim(config, /*kinetic=*/true, charge),
                     RunSim(config, /*kinetic=*/false, charge));
+    }
+  }
+  // §8 testbed cells at 320 queries, where every arrival fans out to
+  // hundreds of units. The plain cell holds a few dozen shared-anchor
+  // buckets of ~10-20 units each. With §7 sharing groups of 10 the distinct
+  // head arrivals of BSD's ready set peak past kTreeEnterBuckets and fall
+  // back, so that run crosses the bucket/tree switch in both directions
+  // (twice each at the time of writing). The whole serialized result must
+  // match the scan's.
+  query::WorkloadConfig plain = TestbedConfig(320, 1000);
+  query::WorkloadConfig shared = TestbedConfig(320, 3000);
+  shared.sharing_group_size = 10;
+  for (const query::WorkloadConfig& workload_config : {plain, shared}) {
+    for (const PolicyKind kind :
+         {PolicyKind::kLsf, PolicyKind::kBsd, PolicyKind::kBsdClustered}) {
+      const auto config = PolicyConfig::Of(kind);
+      EXPECT_EQ(
+          core::RunResultToJson(RunSim(config, true, false, workload_config)),
+          core::RunResultToJson(RunSim(config, false, false, workload_config)))
+          << PolicyKindName(kind) << " sharing_group_size="
+          << workload_config.sharing_group_size;
     }
   }
 }
