@@ -17,7 +17,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 
 /// Buckets key anchors by value: +0 and -0 share a key (their x = now -
-/// anchor compare equal; see BucketArgMax for the returned priority).
+/// anchor compare equal; see ResolveTies for the returned priority).
 uint64_t AnchorKey(double anchor) { return anchor == 0.0 ? 0 : Bits(anchor); }
 
 /// Home slot of a key in the anchor table (Fibonacci hashing: the top bits
@@ -84,39 +84,36 @@ void KineticIndex::Insert(int id, double anchor, double coef,
     MarkPath(id);
     return;
   }
-  int target = FindBucket(anchor);
   if (present) {
     const size_t pos =
         static_cast<size_t>(head_pos_[static_cast<size_t>(bucket_of_[slot])]);
     Bucket& bucket = buckets_[pos];
-    if (bucket.front.id == bucket.back.id &&
-        (target < 0 || target == static_cast<int>(pos))) {
-      // The sole member moves to an anchor no other bucket holds: re-key
-      // its bucket in place instead of releasing one and opening another.
-      SetLine(id, anchor, coef, tie_key);
-      const Member member{coef, tie_key, id};
-      if (target < 0 && anchor_table_live_) {
-        UnmapAnchor(anchors_[pos]);
-        MapAnchor(anchor, bucket.handle);
+    if (bucket.front.id == bucket.back.id) {
+      // A sole member moving to an anchor no other bucket holds (clustered
+      // BSD's re-key to a new head) rewrites its bucket in place; measured
+      // against a release plus reopen in docs/performance.md.
+      const int target = FindBucket(anchor);
+      if (target < 0 || target == static_cast<int>(pos)) {
+        if (target < 0) {
+          UnmapAnchor(anchors_[pos]);
+          MapAnchor(anchor, bucket.handle);
+        }
+        SetLine(id, anchor, coef, tie_key);
+        const Member member{coef, tie_key, id};
+        anchors_[pos] = anchor;
+        bucket.back = member;
+        bucket.front = member;
+        anchor_ceiling_ = std::max(anchor_ceiling_, anchor);
+        return;
       }
-      anchors_[pos] = anchor;
-      bucket.back = member;
-      bucket.front = member;
-      anchor_ceiling_ = std::max(anchor_ceiling_, anchor);
-      return;
     }
-    const int last = bucket_count() - 1;
     RemoveFromBucket(id);
-    // A released bucket is swap-removed: the last one moves into its place.
-    if (target == last && bucket_count() == last) {
-      target = static_cast<int>(pos);
-    }
   } else {
     occupied_[slot] = 1;
     ++size_;
   }
   SetLine(id, anchor, coef, tie_key);
-  AddToBucket(id, target);
+  AddToBucket(id, FindBucket(anchor));
 }
 
 void KineticIndex::Erase(int id) {
@@ -160,15 +157,8 @@ bool KineticIndex::Precedes(const Member& a, const Member& b) const {
 
 int KineticIndex::FindBucket(double anchor) const {
   // Time moves forward, so a new anchor is usually past every anchor seen
-  // so far: that answers "no bucket" without touching the table.
+  // so far: that answers "no bucket" without a probe.
   if (!(anchor <= anchor_ceiling_)) return -1;
-  if (!anchor_table_live_) {
-    // Few buckets: a scan from the newest end beats hashing.
-    for (int k = bucket_count(); k-- > 0;) {
-      if (anchors_[static_cast<size_t>(k)] == anchor) return k;
-    }
-    return -1;
-  }
   const uint64_t key = AnchorKey(anchor);
   for (size_t i = AnchorHome(key);; i = (i + 1) & (kAnchorSlots - 1)) {
     const AnchorSlot& slot = anchor_table_[i];
@@ -224,15 +214,7 @@ void KineticIndex::AddToBucket(int id, int pos) {
     head_pos_[static_cast<size_t>(handle)] = bucket_count();
     anchors_.push_back(line.anchor);
     buckets_.push_back(Bucket{member, member, handle});
-    if (anchor_table_live_) {
-      MapAnchor(line.anchor, handle);
-    } else if (bucket_count() > kAnchorTableOnBuckets) {
-      anchor_table_live_ = true;
-      anchor_table_.fill(AnchorSlot{});
-      for (size_t k = 0; k < buckets_.size(); ++k) {
-        MapAnchor(anchors_[k], buckets_[k].handle);
-      }
-    }
+    MapAnchor(line.anchor, handle);
     anchor_ceiling_ = std::max(anchor_ceiling_, line.anchor);
     bucket_of_[static_cast<size_t>(id)] = handle;
     if (bucket_count() > kTreeEnterBuckets) EnterTree();
@@ -276,7 +258,7 @@ void KineticIndex::RemoveFromBucket(int id) {
 }
 
 void KineticIndex::ReleaseBucket(size_t pos) {
-  if (anchor_table_live_) UnmapAnchor(anchors_[pos]);
+  UnmapAnchor(anchors_[pos]);
   free_handles_.push_back(buckets_[pos].handle);
   if (pos + 1 != buckets_.size()) {
     anchors_[pos] = anchors_.back();
@@ -286,8 +268,6 @@ void KineticIndex::ReleaseBucket(size_t pos) {
   }
   anchors_.pop_back();
   buckets_.pop_back();
-  // Few buckets left: stop maintaining the table (rebuilt when needed).
-  if (bucket_count() <= kAnchorTableOffBuckets) anchor_table_live_ = false;
 }
 
 void KineticIndex::DropBuckets() {
@@ -298,7 +278,7 @@ void KineticIndex::DropBuckets() {
   anchors_.clear();
   buckets_.clear();
   anchor_ceiling_ = -kInf;
-  anchor_table_live_ = false;
+  anchor_table_.fill(AnchorSlot{});
 }
 
 void KineticIndex::ResolveRun(size_t pos, double now, double best,

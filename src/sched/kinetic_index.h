@@ -168,12 +168,6 @@ class KineticIndex {
   /// so linear probes stay short.
   static constexpr size_t kAnchorSlots = 256;
   static_assert(kAnchorSlots >= 3 * (kTreeEnterBuckets + 1));
-  /// The table is kept only while there are more buckets than a short scan
-  /// of the anchors handles as fast: it is built when the bucket count
-  /// exceeds kAnchorTableOnBuckets and dropped when a release leaves at
-  /// most kAnchorTableOffBuckets.
-  static constexpr int kAnchorTableOnBuckets = 16;
-  static constexpr int kAnchorTableOffBuckets = 8;
 
  private:
   double Eval(int slot, double t) const {
@@ -324,15 +318,17 @@ class KineticIndex {
   std::vector<double> anchors_;
   /// No live bucket's anchor exceeds this (-inf when there are none).
   double anchor_ceiling_ = -std::numeric_limits<double>::infinity();
-  /// Open-addressing map (linear probing, backward-shift deletion) from an
-  /// anchor's key to its bucket's handle; handle -1 marks an empty slot.
-  /// Consulted and maintained only while `anchor_table_live_`.
+  /// Open-addressing map (linear probing, backward-shift deletion) from
+  /// each live bucket's anchor key to its handle; handle -1 marks an empty
+  /// slot. A dequeue re-keys a unit to its next queued tuple, usually older
+  /// than the newest arrival, so the ceiling test cannot answer it; with
+  /// tens of one-line buckets a scan of the anchors costs more than the
+  /// probe (overload_trains, docs/performance.md).
   struct AnchorSlot {
     uint64_t key = 0;
     int handle = -1;
   };
   std::array<AnchorSlot, kAnchorSlots> anchor_table_{};
-  bool anchor_table_live_ = false;
 
   /// Members of each bucket handle with two or more lines, sorted by
   /// Precedes; empty for a one-line bucket, whose line lives in its record
