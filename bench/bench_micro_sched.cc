@@ -9,6 +9,7 @@
 //   {
 //     "schema": "aqsios-bench-perf/1",
 //     "mode": "full" | "quick",
+//     "cpu_model": "...", "nproc": N, "compiler": "...",
 //     "queries": N, "arrivals": N, "seed": N, "reps": N,
 //     "total_wall_ms": W,
 //     "benchmarks": [
@@ -21,7 +22,10 @@
 // shared machine); ns_per_op = wall / ops of that repetition. "mode" records
 // whether --quick shrank the cells (quick cells reuse the full-mode names,
 // so scripts/perf_compare.py refuses to diff reports of different modes
-// unless told to).
+// unless told to). "cpu_model" (the first "model name" of /proc/cpuinfo,
+// "unknown" elsewhere), "nproc" (hardware threads) and "compiler" record
+// where the timings were taken; perf_compare.py likewise refuses to diff
+// reports from different hosts unless told to.
 //
 // The suite covers:
 //  * pick/<policy>/n=<units>[/anchors=shared]/kinetic=<on|off> —
@@ -63,6 +67,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -531,6 +536,41 @@ void BenchKernel(const query::Workload& workload, const std::string& policy,
 
 // ---------------------------------------------------------------------------
 
+/// The host's CPU model name: the first "model name" line of /proc/cpuinfo,
+/// or "unknown" where there is none.
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
+std::string CompilerId() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+/// `text` as a JSON string literal.
+std::string JsonString(const std::string& text) {
+  std::string quoted = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') quoted += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) quoted += c;
+  }
+  return quoted + "\"";
+}
+
 std::string ToJson(const std::vector<BenchResult>& results, bool quick,
                    int queries, int64_t arrivals, uint64_t seed, int reps,
                    double total_wall_ms) {
@@ -538,6 +578,9 @@ std::string ToJson(const std::vector<BenchResult>& results, bool quick,
   os.precision(17);
   os << "{\n  \"schema\": \"aqsios-bench-perf/1\",\n";
   os << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n";
+  os << "  \"cpu_model\": " << JsonString(CpuModel()) << ",\n";
+  os << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n";
+  os << "  \"compiler\": " << JsonString(CompilerId()) << ",\n";
   os << "  \"queries\": " << queries << ",\n";
   os << "  \"arrivals\": " << arrivals << ",\n";
   os << "  \"seed\": " << seed << ",\n";

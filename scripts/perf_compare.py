@@ -38,6 +38,11 @@ Reports that record a "mode" in their header (bench_micro_sched writes
 of the size) are only compared like for like: when the two reports' modes
 differ — a report without the field counts as "unrecorded" — the script
 exits 2 before comparing anything, unless --allow-cross-mode is given.
+The same holds for the host: bench_micro_sched records "cpu_model" and
+"nproc" in its header, and when the two reports' hosts differ (a report
+without them counts as "unrecorded") the script exits 2 unless
+--allow-cross-host is given, since raw ns_per_op from different machines
+measure the machines as much as the code.
 
 For every matched entry the ratio new/old is printed; entries whose ratio
 exceeds 1 + --threshold are regressions, entries below 1 - --threshold are
@@ -54,7 +59,7 @@ Usage:
         --threshold 0.25 --warn-only
     scripts/perf_compare.py BENCH_sweep.json /tmp/sweep_new.json
     scripts/perf_compare.py BENCH_perf.json /tmp/perf_quick.json \
-        --allow-cross-mode --warn-only
+        --allow-cross-mode --allow-cross-host --warn-only
 
 Standard library only.
 """
@@ -67,10 +72,11 @@ import sys
 def load_entries(path, overheads=None, kernel_speedups=None,
                  skew_imbalances=None, drift_p99s=None,
                  calibration_overheads=None):
-    """Returns (schema, mode, {key: value}) for one report file.
+    """Returns (schema, mode, host, {key: value}) for one report file.
 
     `mode` is the header's "mode" field, or None when the report does not
-    record one.
+    record one. `host` is the header's "cpu_model" and "nproc" as a string,
+    or None when the report records neither.
 
     Keys are benchmark names (perf schema) or "figure/util/policy" strings
     (sweep schema); values are the compared metric (ns_per_op / wall_ms).
@@ -89,6 +95,10 @@ def load_entries(path, overheads=None, kernel_speedups=None,
         report = json.load(handle)
     schema = report.get("schema", "")
     mode = report.get("mode")
+    host = None
+    if "cpu_model" in report or "nproc" in report:
+        host = "{} x{}".format(report.get("cpu_model", "unknown CPU"),
+                               report.get("nproc", "?"))
     entries = {}
     if schema.startswith("aqsios-bench-perf/"):
         for bench in report["benchmarks"]:
@@ -145,7 +155,7 @@ def load_entries(path, overheads=None, kernel_speedups=None,
         raise ValueError(
             f"{path}: unrecognized schema {schema!r} (expected "
             "aqsios-bench-perf/1 or aqsios-bench-sweep/1)")
-    return schema, mode, entries
+    return schema, mode, host, entries
 
 
 def main():
@@ -183,15 +193,20 @@ def main():
                              "(e.g. a --quick run against the committed "
                              "full-mode baseline); their cells share names "
                              "but not sizes, so ratios are indicative only")
+    parser.add_argument("--allow-cross-host", action="store_true",
+                        help="compare reports whose recorded hosts (CPU "
+                             "model, hardware threads) differ, e.g. a CI "
+                             "runner against the committed baseline; "
+                             "ratios then mix host and code effects")
     args = parser.parse_args()
 
-    old_schema, old_mode, old_entries = load_entries(args.old)
+    old_schema, old_mode, old_host, old_entries = load_entries(args.old)
     new_overheads = {}
     new_kernel_speedups = {}
     new_skew_imbalances = {}
     new_drift_p99s = {}
     new_calibration_overheads = {}
-    new_schema, new_mode, new_entries = load_entries(
+    new_schema, new_mode, new_host, new_entries = load_entries(
         args.new, overheads=new_overheads,
         kernel_speedups=new_kernel_speedups,
         skew_imbalances=new_skew_imbalances,
@@ -212,6 +227,17 @@ def main():
             return 2
         print(f"note: comparing across modes ({modes}); ratios are "
               "indicative only")
+    if old_host != new_host:
+        hosts = "{} vs {}".format(old_host or "unrecorded",
+                                  new_host or "unrecorded")
+        if not args.allow_cross_host:
+            print(f"error: host mismatch: {hosts} ({args.old} vs "
+                  f"{args.new}); timings from different machines are not "
+                  "comparable. Pass --allow-cross-host to compare anyway.",
+                  file=sys.stderr)
+            return 2
+        print(f"note: comparing across hosts ({hosts}); ratios mix host "
+              "and code effects")
 
     shared = [k for k in old_entries if k in new_entries]
     only_old = sorted(k for k in old_entries if k not in new_entries)

@@ -35,7 +35,7 @@ void KineticIndex::Reserve(int max_ids) {
   const size_t slots = static_cast<size_t>(capacity_);
   occupied_.assign(slots, 0);
   lines_.assign(slots, Line{});
-  bucket_of_.assign(slots, -1);
+  links_.assign(slots, Link{});
   DropBuckets();
   tree_ = false;
   nodes_.clear();
@@ -60,7 +60,7 @@ void KineticIndex::Insert(int id, double anchor, double coef,
     const size_t slots = static_cast<size_t>(capacity);
     occupied_.resize(slots, 0);
     lines_.resize(slots, Line{});
-    bucket_of_.resize(slots, -1);
+    links_.resize(slots, Link{});
     if (tree_) {
       Rebuild(capacity);
     } else {
@@ -85,10 +85,10 @@ void KineticIndex::Insert(int id, double anchor, double coef,
     return;
   }
   if (present) {
-    const size_t pos =
-        static_cast<size_t>(head_pos_[static_cast<size_t>(bucket_of_[slot])]);
+    const size_t pos = static_cast<size_t>(
+        head_pos_[static_cast<size_t>(links_[slot].handle)]);
     Bucket& bucket = buckets_[pos];
-    if (bucket.front.id == bucket.back.id) {
+    if (bucket.lines == 1) {
       // A sole member moving to an anchor no other bucket holds (clustered
       // BSD's re-key to a new head) rewrites its bucket in place; measured
       // against a release plus reopen in docs/performance.md.
@@ -148,13 +148,6 @@ int KineticIndex::ArgMax(SimTime now, double* priority) {
 
 // --- bucket mode -------------------------------------------------------------
 
-bool KineticIndex::Precedes(const Member& a, const Member& b) const {
-  if (a.coef != b.coef) {
-    return mode_ == EvalMode::kRatio ? a.coef > b.coef : a.coef < b.coef;
-  }
-  return TieBreaksBefore(a, b);
-}
-
 int KineticIndex::FindBucket(double anchor) const {
   // Time moves forward, so a new anchor is usually past every anchor seen
   // so far: that answers "no bucket" without a probe.
@@ -200,61 +193,112 @@ void KineticIndex::UnmapAnchor(double anchor) {
 
 void KineticIndex::AddToBucket(int id, int pos) {
   const Line& line = lines_[static_cast<size_t>(id)];
-  const Member member{line.coef, line.tie, id};
   if (pos < 0) {
     int handle;
     if (free_handles_.empty()) {
-      handle = static_cast<int>(members_.size());
-      members_.emplace_back();
+      handle = static_cast<int>(groups_.size());
+      groups_.emplace_back();
       head_pos_.push_back(-1);
     } else {
       handle = free_handles_.back();
       free_handles_.pop_back();
     }
     head_pos_[static_cast<size_t>(handle)] = bucket_count();
+    const Member member{line.coef, line.tie, id};
     anchors_.push_back(line.anchor);
-    buckets_.push_back(Bucket{member, member, handle});
+    buckets_.push_back(Bucket{member, member, handle, 1});
     MapAnchor(line.anchor, handle);
     anchor_ceiling_ = std::max(anchor_ceiling_, line.anchor);
-    bucket_of_[static_cast<size_t>(id)] = handle;
+    links_[static_cast<size_t>(id)].handle = handle;
     if (bucket_count() > kTreeEnterBuckets) EnterTree();
     return;
   }
   Bucket& bucket = buckets_[static_cast<size_t>(pos)];
-  std::vector<Member>& members = members_[static_cast<size_t>(bucket.handle)];
-  if (members.empty()) members.push_back(bucket.back);  // was one-line
-  // Insertion step from the back: buckets are small, so an inline shift
-  // beats a binary search plus a library memmove.
-  members.push_back(member);
-  size_t i = members.size() - 1;
-  for (; i > 0 && Precedes(member, members[i - 1]); --i) {
-    members[i] = members[i - 1];
+  std::vector<Group>& groups = groups_[static_cast<size_t>(bucket.handle)];
+  if (bucket.lines == 1) {  // was one-line: its line becomes a group
+    const Member& only = bucket.back;
+    groups.push_back(Group{only.coef, only.tie, only.id, only.id});
+    NextOf(only.id) = -1;
   }
-  members[i] = member;
-  bucket.back = members.back();
-  bucket.front = members.front();
-  bucket_of_[static_cast<size_t>(id)] = bucket.handle;
+  ++bucket.lines;
+  // Groups are few, and a line usually joins the back one (the winner's
+  // class), so step from the back.
+  size_t g = groups.size();
+  while (g > 0 && Precedes(line.coef, line.tie, groups[g - 1])) --g;
+  if (g > 0 && groups[g - 1].coef == line.coef &&
+      groups[g - 1].tie == line.tie) {
+    LinkIntoGroup(groups[g - 1], id);
+  } else {
+    groups.insert(groups.begin() + static_cast<std::ptrdiff_t>(g),
+                  Group{line.coef, line.tie, id, id});
+    NextOf(id) = -1;
+  }
+  SetEnds(bucket, groups);
+  links_[static_cast<size_t>(id)].handle = bucket.handle;
+}
+
+void KineticIndex::LinkIntoGroup(Group& group, int id) {
+  // A class of units usually receives its arrivals in id order, so the
+  // tail append is the common case.
+  if (id > group.tail) {
+    NextOf(group.tail) = id;
+    NextOf(id) = -1;
+    group.tail = id;
+  } else if (id < group.head) {
+    NextOf(id) = group.head;
+    group.head = id;
+  } else {
+    int prev = group.head;
+    while (NextOf(prev) < id) {
+      prev = NextOf(prev);
+      AQSIOS_DCHECK_GE(prev, 0) << "group chain ends before its tail";
+    }
+    NextOf(id) = NextOf(prev);
+    NextOf(prev) = id;
+  }
 }
 
 void KineticIndex::RemoveFromBucket(int id) {
-  const int handle = bucket_of_[static_cast<size_t>(id)];
+  const int handle = links_[static_cast<size_t>(id)].handle;
   const size_t pos =
       static_cast<size_t>(head_pos_[static_cast<size_t>(handle)]);
   Bucket& bucket = buckets_[pos];
-  if (bucket.front.id == bucket.back.id) {
+  if (bucket.lines == 1) {
     ReleaseBucket(pos);
     return;
   }
-  std::vector<Member>& members = members_[static_cast<size_t>(handle)];
-  if (members.back().id != id) {
-    size_t i = 0;
-    while (members[i].id != id) ++i;
-    for (; i + 1 < members.size(); ++i) members[i] = members[i + 1];
+  std::vector<Group>& groups = groups_[static_cast<size_t>(handle)];
+  const Line& line = lines_[static_cast<size_t>(id)];
+  // The winner's group sits at the back, so search from there.
+  size_t g = groups.size() - 1;
+  while (groups[g].coef != line.coef || groups[g].tie != line.tie) {
+    AQSIOS_DCHECK_GT(g, 0u) << "id " << id << " missing from its bucket";
+    --g;
   }
-  members.pop_back();
-  bucket.back = members.back();
-  bucket.front = members.front();
-  if (members.size() == 1) members.clear();  // one-line again
+  Group& group = groups[g];
+  if (group.head == id) {  // usually the last pick's winner: pop the head
+    if (group.tail == id) {
+      groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(g));
+    } else {
+      group.head = NextOf(id);
+    }
+  } else {
+    int prev = group.head;
+    while (NextOf(prev) != id) {
+      prev = NextOf(prev);
+      AQSIOS_DCHECK_GE(prev, 0) << "id " << id << " missing from its group";
+    }
+    NextOf(prev) = NextOf(id);
+    if (group.tail == id) group.tail = prev;
+  }
+  if (--bucket.lines == 1) {  // one-line again: the line leaves its group
+    const Group& only = groups.front();
+    bucket.back = Member{only.coef, only.tie, only.head};
+    bucket.front = bucket.back;
+    groups.clear();
+  } else {
+    SetEnds(bucket, groups);
+  }
 }
 
 void KineticIndex::ReleaseBucket(size_t pos) {
@@ -272,7 +316,7 @@ void KineticIndex::ReleaseBucket(size_t pos) {
 
 void KineticIndex::DropBuckets() {
   for (const Bucket& bucket : buckets_) {
-    members_[static_cast<size_t>(bucket.handle)].clear();
+    groups_[static_cast<size_t>(bucket.handle)].clear();
     free_handles_.push_back(bucket.handle);
   }
   anchors_.clear();
@@ -284,47 +328,39 @@ void KineticIndex::DropBuckets() {
 void KineticIndex::ResolveRun(size_t pos, double now, double best,
                               Member* winner) {
   const Bucket& bucket = buckets_[pos];
-  const std::vector<Member>& members =
-      members_[static_cast<size_t>(bucket.handle)];
   const auto consider = [&](const Member& member) {
     if (winner->id < 0 || TieBreaksBefore(member, *winner)) *winner = member;
   };
-  // The scan evaluated the end member and got `best`; its equal-priority
-  // neighbours form a contiguous run from that end (monotone key order).
-  // Every member shares the bucket's x, so a neighbour's priority is its
-  // inline coefficient applied to x — the scan's formula for its line.
-  if (bucket.front.id == bucket.back.id) {
+  // The scan evaluated the end group and got `best`; its equal-priority
+  // neighbours form a contiguous run of groups from that end (monotone key
+  // order). Every group shares the bucket's x, so a neighbour's priority is
+  // its coefficient applied to x — the scan's formula for its lines — and
+  // its head is its smallest (tie, id).
+  if (bucket.lines == 1) {
     consider(bucket.back);  // a one-line bucket has no run
     return;
   }
+  const std::vector<Group>& groups =
+      groups_[static_cast<size_t>(bucket.handle)];
   const double x = now - anchors_[pos];
   const bool ratio = mode_ == EvalMode::kRatio;
-  const auto priority_of = [&](const Member& m) {
+  const auto tied_with_best = [&](const Group& group) {
     ++line_evaluations_;
-    return ratio ? x / m.coef : m.coef * x;
+    return (ratio ? x / group.coef : group.coef * x) == best;
   };
-  // Members with one coefficient are identical lines here, so the run is
-  // walked a coefficient group at a time: within a group the order is by
-  // (tie, id), so its first member is the group's candidate.
-  const auto by_key = [this](const Member& a, const Member& b) {
-    return mode_ == EvalMode::kRatio ? a.coef > b.coef : a.coef < b.coef;
+  const auto consider_group = [&](const Group& group) {
+    consider(Member{group.coef, group.tie, group.head});
   };
-  const auto begin = members.begin();
-  const auto end = members.end();
-  if (x >= 0.0) {
-    auto group_end = end;  // walk groups from the back
-    do {
-      const auto group = std::lower_bound(begin, group_end, *(group_end - 1),
-                                          by_key);
-      consider(*group);
-      group_end = group;
-    } while (group_end != begin && priority_of(*(group_end - 1)) == best);
-  } else {
-    auto group = begin;  // walk groups from the front
-    do {
-      consider(*group);
-      group = std::upper_bound(group, end, *group, by_key);
-    } while (group != end && priority_of(*group) == best);
+  if (x >= 0.0) {  // walk groups from the back
+    size_t g = groups.size() - 1;
+    consider_group(groups[g]);
+    while (g > 0 && tied_with_best(groups[g - 1])) consider_group(groups[--g]);
+  } else {  // walk groups from the front
+    size_t g = 0;
+    consider_group(groups[g]);
+    while (g + 1 < groups.size() && tied_with_best(groups[g + 1])) {
+      consider_group(groups[++g]);
+    }
   }
 }
 
@@ -362,14 +398,15 @@ int KineticIndex::BucketArgMax(SimTime now, double* priority) {
   line_evaluations_ += static_cast<int64_t>(n);
   const Bucket& top = buckets[best_pos];
   if (!tied && best != 0.0 && now >= anchors[best_pos]) {
-    // The common case: the winning bucket's back line won outright — it is
-    // alone, or its neighbour already falls short of it.
+    // The common case: the winning bucket's back group won outright — it is
+    // the only group, or its neighbour group already falls short of it —
+    // and the group's head is its smallest (tie, id).
     bool alone = top.front.id == top.back.id;
     if (!alone) {
-      const std::vector<Member>& members =
-          members_[static_cast<size_t>(top.handle)];
+      const std::vector<Group>& groups =
+          groups_[static_cast<size_t>(top.handle)];
       const double x = now - anchors[best_pos];
-      const double coef = members[members.size() - 2].coef;
+      const double coef = groups[groups.size() - 2].coef;
       ++line_evaluations_;
       alone = (kMode == EvalMode::kRatio ? x / coef : coef * x) != best;
     }

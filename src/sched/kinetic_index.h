@@ -18,13 +18,24 @@
 // scan's arithmetic (`x / coef` or `coef * x`) is monotone in coef under IEEE
 // rounding: non-decreasing in coef for kScaled and in -coef for kRatio when
 // x >= 0, non-increasing when x < 0. Each bucket is kept sorted by that
-// dominance key (then tie key, then id), so its best line sits at one end —
-// the back for x >= 0, the front for x < 0 — and the members whose priority
-// equals the best form a contiguous run from that end. ArgMax evaluates one
-// line per bucket, takes the maximum, and walks the equal-priority run of
-// each bucket that reached it to pick the smallest (tie, id). That is exact
-// with no precondition: near-ties that round equal, x = 0 (every member of
-// the bucket ties) and anchors ahead of `now` all fall out of the same walk.
+// dominance key (then tie key), so its best line sits at one end — the back
+// for x >= 0, the front for x < 0 — and the lines whose priority equals the
+// best form a contiguous run from that end. ArgMax evaluates one line per
+// bucket, takes the maximum, and walks the equal-priority run of each bucket
+// that reached it to pick the smallest (tie, id). That is exact with no
+// precondition: near-ties that round equal, x = 0 (every line of the bucket
+// ties) and anchors ahead of `now` all fall out of the same walk.
+//
+// Units that share an anchor mostly share the coefficient too (the paper's
+// testbed draws queries from a few cost and selectivity classes), so a
+// multi-line bucket stores *groups*: one per distinct (coef, tie) key, in
+// dominance order, each holding its ids in ascending order on intrusive
+// per-id links. Identical lines tie forever and the scan would take the
+// smallest id, so a group's head is its only candidate: a pick looks at the
+// neighbouring group rather than the neighbouring id, the run walk steps
+// group by group, an insert usually appends at a group's tail, and the
+// dequeue re-key of a pick's winner pops its group's head. A one-line
+// bucket keeps its line in the bucket record and no group.
 //
 // Tree mode (many distinct anchors). A kinetic tournament: a complete binary
 // tree holds one leaf per id; each internal node caches the winner of its
@@ -133,9 +144,9 @@ class KineticIndex {
   }
 
   /// Priority lines evaluated since construction, in either mode: one per
-  /// bucket scanned plus one per run member walked in bucket mode, two per
-  /// tournament match replayed plus one for the returned priority in tree
-  /// mode. Deterministic for a given operation sequence, so tests and
+  /// bucket scanned plus one per neighbouring group checked in bucket mode,
+  /// two per tournament match replayed plus one for the returned priority
+  /// in tree mode. Deterministic for a given operation sequence, so tests and
   /// benchmarks can count the work an ArgMax did (a valid root certificate
   /// makes a tree-mode ArgMax evaluate nothing).
   int64_t line_evaluations() const { return line_evaluations_; }
@@ -182,8 +193,8 @@ class KineticIndex {
 
   // --- bucket mode ---------------------------------------------------------
 
-  /// A bucket member: the id with its coefficient and tie key kept inline,
-  /// so ordering and run walks never touch `lines_`.
+  /// A line's ordering key with an id: a bucket's best-end candidate, or
+  /// the running winner of a tie walk.
   struct Member {
     double coef;
     double tie;
@@ -195,18 +206,38 @@ class KineticIndex {
     return a.tie != b.tie ? a.tie < b.tie : a.id < b.id;
   }
 
-  /// Bucket mode: one record per live bucket. `back` and `front` copy the
-  /// bucket's last and first member (the same member for a one-line
-  /// bucket). The bucket's anchor sits at the same position in `anchors_`.
+  /// The identical lines of a multi-line bucket: every live id with this
+  /// bucket's anchor and this (coef, tie) key, linked in ascending id order
+  /// through links_. Its head is the smallest (tie, id) of the group, so it
+  /// is the only member a pick ever has to look at.
+  struct Group {
+    double coef;
+    double tie;
+    int head;
+    int tail;
+  };
+
+  /// Bucket mode: one record per live bucket. `back` and `front` are the
+  /// candidates (head ids) of the bucket's last and first group; they are
+  /// the same id exactly when the bucket holds a single group, one line or
+  /// several identical ones. The bucket's anchor sits at the same position
+  /// in `anchors_`.
   struct Bucket {
     Member back;
     Member front;
-    int handle;  // index into members_ / head_pos_
+    int handle;  // index into groups_ / head_pos_
+    int lines;   // live ids in the bucket
   };
 
-  /// Bucket order: ascending dominance key (coef for kScaled, -coef for
-  /// kRatio), then tie key, then id.
-  bool Precedes(const Member& a, const Member& b) const;
+  /// Group order: ascending dominance key (coef for kScaled, -coef for
+  /// kRatio), then tie key.
+  bool Precedes(double coef, double tie, const Group& group) const {
+    if (coef != group.coef) {
+      return mode_ == EvalMode::kRatio ? coef > group.coef
+                                       : coef < group.coef;
+    }
+    return tie < group.tie;
+  }
 
   /// Position of the live bucket with this anchor value, or -1.
   int FindBucket(double anchor) const;
@@ -223,8 +254,23 @@ class KineticIndex {
   /// enters tree mode when that makes too many.
   void AddToBucket(int id, int pos);
 
-  /// Removes live id from its bucket; releases the bucket when it empties.
+  /// Removes live id (its line still stored) from its bucket; releases the
+  /// bucket when it empties.
   void RemoveFromBucket(int id);
+
+  /// Links id into `group` at its ascending-id place.
+  void LinkIntoGroup(Group& group, int id);
+
+  /// The id after `id` in its group, -1 at the tail.
+  int& NextOf(int id) { return links_[static_cast<size_t>(id)].next; }
+
+  /// Re-reads `bucket`'s candidates from its groups after a change.
+  static void SetEnds(Bucket& bucket, const std::vector<Group>& groups) {
+    const Group& back = groups.back();
+    const Group& front = groups.front();
+    bucket.back = Member{back.coef, back.tie, back.head};
+    bucket.front = Member{front.coef, front.tie, front.head};
+  }
 
   /// The scan's priority for the best end of the bucket at `pos`.
   template <EvalMode kMode>
@@ -235,7 +281,7 @@ class KineticIndex {
     return kMode == EvalMode::kRatio ? x / coef : coef * x;
   }
 
-  /// Empties every bucket, keeping the member vectors for reuse.
+  /// Empties every bucket, keeping the group vectors for reuse.
   void DropBuckets();
 
   /// Switches to tree mode, rebuilding the tree from the stored lines.
@@ -244,9 +290,9 @@ class KineticIndex {
   /// Switches to bucket mode, rebuilding the buckets from the stored lines.
   void LeaveTree();
 
-  /// Walks the run of bucket `pos` whose priority equals `best` (from the
-  /// end the scan evaluated), one coefficient group at a time, and folds
-  /// its smallest (tie, id) into *winner.
+  /// Walks the groups of bucket `pos` whose priority equals `best` (from
+  /// the end the scan evaluated) and folds the smallest (tie, id) among
+  /// their heads into *winner.
   void ResolveRun(size_t pos, double now, double best, Member* winner);
 
   template <EvalMode kMode>
@@ -330,14 +376,22 @@ class KineticIndex {
   };
   std::array<AnchorSlot, kAnchorSlots> anchor_table_{};
 
-  /// Members of each bucket handle with two or more lines, sorted by
+  /// Groups of each bucket handle with two or more lines, sorted by
   /// Precedes; empty for a one-line bucket, whose line lives in its record
   /// alone, so opening, re-keying and closing one-line buckets never touches
   /// these vectors. A vector keeps its capacity across reuse of its handle.
-  std::vector<std::vector<Member>> members_;
+  std::vector<std::vector<Group>> groups_;
   std::vector<int> head_pos_;      // handle -> position in buckets_
   std::vector<int> free_handles_;  // released handles
-  std::vector<int> bucket_of_;     // id -> handle (live ids, bucket mode)
+  /// Per-id bucket membership (live ids, bucket mode): the bucket's handle,
+  /// and the next larger id of the id's group (-1 at its tail; set only in
+  /// multi-line buckets). One array rather than two: a separate link array
+  /// grew drift_calibrated's peak heap (docs/performance.md).
+  struct Link {
+    int handle = -1;
+    int next = -1;
+  };
+  std::vector<Link> links_;
   std::vector<uint64_t> anchor_scratch_;  // CountAnchorsUpTo working set
 
   /// Tree mode: tournament nodes 1..2*capacity_-1, leaves at capacity_ +

@@ -1,16 +1,17 @@
 // KineticIndex correctness: randomized equivalence against a brute-force
 // reference (both eval modes; distinct-anchor traces in both the bucket and
 // tournament-tree regimes; shared-anchor traces with rounding near-ties,
-// colliding tie keys, anchors at and ahead of the clock, and forced
-// bucket<->tree switches), the switch rule itself, golden-trace equivalence
-// of the kinetic schedulers against their naive scan twins (picks *and*
-// simulated SchedulingCost charges), and full-simulation equality kinetic on
-// vs off.
+// colliding tie keys, anchors at and ahead of the clock, or groups of
+// identical lines, all with forced bucket<->tree switches), the switch rule
+// itself, golden-trace equivalence of the kinetic schedulers against their
+// naive scan twins (picks *and* simulated SchedulingCost charges), and
+// full-simulation equality kinetic on vs off.
 
 #include "sched/kinetic_index.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <iterator>
@@ -136,33 +137,62 @@ TEST(KineticIndexTest, RandomizedTraceGrowthSwitch) {
   RunRandomizedTrace(KineticIndex::EvalMode::kScaled, 400, 4000, 0xE5, false);
 }
 
-/// Drives the index and the reference through a trace whose lines actually
-/// share anchors: anchors come from a pool of 8 values (queries sometimes
-/// land exactly on one, giving x = 0, and early on most lie ahead of `now`),
+/// The line pools a bucketed trace draws from.
+struct BucketedInputs {
+  std::vector<double> anchors;
+  std::vector<double> coefs;
+  int tie_values = 3;
+  /// Adds coefficient-only re-keys and drains of whole buckets down to one
+  /// line (the group <-> one-line collapses).
+  bool group_heavy = false;
+};
+
+/// Near-tie lines: anchors from a pool of 8 values (queries sometimes land
+/// exactly on one, giving x = 0, and early on most lie ahead of `now`),
 /// coefficients from a small pool plus their std::nextafter neighbours (so
-/// distinct coefficients round to equal priorities), and tie keys collide.
-/// Bursts of distinct anchors force the index into tree mode, long query
-/// runs let the recount hand it back to the buckets, and Clear/Reserve
-/// happen mid-trace. Returns how many bucket<->tree switches were observed.
+/// distinct coefficients round to equal priorities), colliding tie keys.
+BucketedInputs NearTieInputs() {
+  BucketedInputs inputs;
+  inputs.anchors = {0.0, 0.25, 1.0, 2.5, 2.5000000000000004, 4.0, 6.1, 9.3};
+  for (const double base : {0.1, 0.3, 1.0, 1.7, 3.0}) {
+    inputs.coefs.push_back(base);
+    inputs.coefs.push_back(std::nextafter(base, 0.0));
+    inputs.coefs.push_back(std::nextafter(base, 10.0));
+    inputs.coefs.push_back(std::nextafter(std::nextafter(base, 10.0), 10.0));
+  }
+  return inputs;
+}
+
+/// Identical lines: 3 anchors x 2 well-separated coefficients x 2 tie keys,
+/// so a bucket holds a few groups of many ids each. Ids arrive and leave in
+/// random order, so they join and leave groups at the head, in the middle
+/// and at the tail.
+BucketedInputs GroupHeavyInputs() {
+  BucketedInputs inputs;
+  inputs.anchors = {0.0, 1.5, 3.0};
+  inputs.coefs = {0.5, 2.0};
+  inputs.tie_values = 2;
+  inputs.group_heavy = true;
+  return inputs;
+}
+
+/// Drives the index and the reference through a trace whose lines actually
+/// share anchors, drawn from `inputs`. Bursts of distinct anchors force the
+/// index into tree mode, long query runs let the recount hand it back to
+/// the buckets, and Clear/Reserve happen mid-trace. Returns how many
+/// bucket<->tree switches were observed.
 int RunBucketedTrace(KineticIndex::EvalMode mode, int max_id, int steps,
-                     uint64_t seed) {
+                     uint64_t seed, const BucketedInputs& inputs) {
   KineticIndex index(mode);
   index.Reserve(max_id);
   std::map<int, RefLine> reference;
   std::mt19937_64 rng(seed);
-  const std::vector<double> anchor_pool = {0.0, 0.25, 1.0,  2.5,
-                                           2.5000000000000004, 4.0, 6.1, 9.3};
-  std::vector<double> coef_pool;
-  for (const double base : {0.1, 0.3, 1.0, 1.7, 3.0}) {
-    coef_pool.push_back(base);
-    coef_pool.push_back(std::nextafter(base, 0.0));
-    coef_pool.push_back(std::nextafter(base, 10.0));
-    coef_pool.push_back(std::nextafter(std::nextafter(base, 10.0), 10.0));
-  }
+  const std::vector<double>& anchor_pool = inputs.anchors;
+  const std::vector<double>& coef_pool = inputs.coefs;
   std::uniform_int_distribution<int> id_dist(0, max_id - 1);
   std::uniform_int_distribution<size_t> anchor_pick(0, anchor_pool.size() - 1);
   std::uniform_int_distribution<size_t> coef_pick(0, coef_pool.size() - 1);
-  std::uniform_int_distribution<int> tie_dist(0, 2);
+  std::uniform_int_distribution<int> tie_dist(0, inputs.tie_values - 1);
   std::uniform_int_distribution<int> op_dist(0, 999);
   std::uniform_real_distribution<double> step_dist(0.0, 0.02);
   double now = 0.0;
@@ -190,7 +220,31 @@ int RunBucketedTrace(KineticIndex::EvalMode mode, int max_id, int steps,
   };
   for (int step = 0; step < steps; ++step) {
     const int op = op_dist(rng);
-    if (op < 450) {  // insert or re-key on the pooled lines
+    if (inputs.group_heavy && op < 100 && !reference.empty()) {
+      // Re-key a live id to the other coefficient, keeping its anchor (and
+      // so its bucket) and its tie key.
+      auto it = reference.begin();
+      std::advance(it, static_cast<long>(rng() % reference.size()));
+      RefLine& line = it->second;
+      const double old_coef = line.coef;
+      while (line.coef == old_coef) line.coef = coef_pool[coef_pick(rng)];
+      index.Insert(it->first, line.anchor, line.coef, line.tie);
+    } else if (inputs.group_heavy && op < 130) {
+      // Drain one anchor's bucket in random order down to a single line
+      // (groups collapse into a one-line bucket), querying on the way.
+      const double anchor = anchor_pool[anchor_pick(rng)];
+      std::vector<int> ids;
+      for (const auto& [id, line] : reference) {
+        if (line.anchor == anchor) ids.push_back(id);
+      }
+      std::shuffle(ids.begin(), ids.end(), rng);
+      for (size_t k = 1; k < ids.size(); ++k) {
+        reference.erase(ids[k]);
+        index.Erase(ids[k]);
+        if (k % 4 == 0) query(step);
+      }
+      query(step);
+    } else if (op < 450) {  // insert or re-key on the pooled lines
       const int id = id_dist(rng);
       RefLine line;
       line.anchor = anchor_pool[anchor_pick(rng)];
@@ -252,23 +306,29 @@ int RunBucketedTrace(KineticIndex::EvalMode mode, int max_id, int steps,
 }
 
 TEST(KineticIndexTest, RandomizedBucketedTraceRatio) {
-  const int switches =
-      RunBucketedTrace(KineticIndex::EvalMode::kRatio, 300, 6000, 0x51);
-  EXPECT_GE(switches, 4) << "the trace must cross the mode switch";
+  for (const BucketedInputs& inputs : {NearTieInputs(), GroupHeavyInputs()}) {
+    const int switches = RunBucketedTrace(KineticIndex::EvalMode::kRatio, 300,
+                                          6000, 0x51, inputs);
+    EXPECT_GE(switches, 4) << "the trace must cross the mode switch";
+  }
 }
 
 TEST(KineticIndexTest, RandomizedBucketedTraceScaled) {
-  const int switches =
-      RunBucketedTrace(KineticIndex::EvalMode::kScaled, 300, 6000, 0x52);
-  EXPECT_GE(switches, 4) << "the trace must cross the mode switch";
+  for (const BucketedInputs& inputs : {NearTieInputs(), GroupHeavyInputs()}) {
+    const int switches = RunBucketedTrace(KineticIndex::EvalMode::kScaled,
+                                          300, 6000, 0x52, inputs);
+    EXPECT_GE(switches, 4) << "the trace must cross the mode switch";
+  }
 }
 
 TEST(KineticIndexTest, RandomizedBucketedTraceSmallIds) {
   // 40 ids never exceed the bucket limit: a pure bucket-mode trace with
-  // large shared buckets.
-  for (const auto mode :
-       {KineticIndex::EvalMode::kRatio, KineticIndex::EvalMode::kScaled}) {
-    RunBucketedTrace(mode, 40, 6000, 0x53);
+  // large shared buckets (near-tie lines) or small groups (identical ones).
+  for (const BucketedInputs& inputs : {NearTieInputs(), GroupHeavyInputs()}) {
+    for (const auto mode :
+         {KineticIndex::EvalMode::kRatio, KineticIndex::EvalMode::kScaled}) {
+      RunBucketedTrace(mode, 40, 6000, 0x53, inputs);
+    }
   }
 }
 
