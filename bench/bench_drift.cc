@@ -46,12 +46,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/check.h"
 #include "common/flags.h"
 #include "core/dsms.h"
@@ -254,77 +254,6 @@ std::string CellLine(const DriftCell& cell, int queries) {
   return os.str();
 }
 
-bool IsBenchmarkLine(const std::string& line) {
-  return line.rfind("    {\"name\": ", 0) == 0;
-}
-
-bool IsDriftLine(const std::string& line) {
-  return line.rfind("    {\"name\": \"drift/", 0) == 0;
-}
-
-/// Splices the drift cells into an aqsios-bench-perf/1 report: header and
-/// non-drift benchmark lines (micro benches, scaling, stress cells) are
-/// kept verbatim, existing drift/ lines are replaced, trailing commas are
-/// re-normalized. Falls back to a fresh report when `path` is missing or
-/// not in the expected shape. Returns false when `path` cannot be written.
-bool WriteReport(const std::string& path, const std::vector<std::string>& cells,
-                 int queries, int64_t arrivals, uint64_t seed, int reps,
-                 double total_wall_ms) {
-  std::vector<std::string> header;
-  std::vector<std::string> kept;
-  bool parsed = false;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::string line;
-      bool in_benchmarks = false;
-      while (std::getline(in, line)) {
-        if (!in_benchmarks) {
-          header.push_back(line);
-          if (line == "  \"benchmarks\": [") {
-            in_benchmarks = true;
-            parsed = true;
-          }
-        } else if (IsBenchmarkLine(line)) {
-          if (!IsDriftLine(line)) kept.push_back(line);
-        }
-        // Footer lines ("  ]", "}") and anything unexpected are re-emitted
-        // from scratch below.
-      }
-    }
-  }
-  if (!parsed) {
-    header.clear();
-    std::ostringstream os;
-    os.precision(17);
-    os << "{\n  \"schema\": \"aqsios-bench-perf/1\",\n";
-    os << "  \"queries\": " << queries << ",\n";
-    os << "  \"arrivals\": " << arrivals << ",\n";
-    os << "  \"seed\": " << seed << ",\n";
-    os << "  \"reps\": " << reps << ",\n";
-    os << "  \"total_wall_ms\": " << total_wall_ms << ",\n";
-    os << "  \"benchmarks\": [";
-    std::string line;
-    std::istringstream is(os.str());
-    while (std::getline(is, line)) header.push_back(line);
-  }
-
-  for (std::string& line : kept) {
-    if (!line.empty() && line.back() == ',') line.pop_back();
-  }
-  std::vector<std::string> body = kept;
-  body.insert(body.end(), cells.begin(), cells.end());
-
-  std::ofstream out(path);
-  if (!out.good()) return false;
-  for (const std::string& line : header) out << line << "\n";
-  for (size_t i = 0; i < body.size(); ++i) {
-    out << body[i] << (i + 1 < body.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.good();
-}
-
 int Main(int argc, char** argv) {
   std::string out = "BENCH_perf.json";
   int queries = 100;
@@ -518,9 +447,10 @@ int Main(int argc, char** argv) {
   }
   const double total_wall_ms = ElapsedMs(suite_start);
   if (!out.empty()) {
-    if (!WriteReport(out, lines, queries, arrivals,
-                     static_cast<uint64_t>(seed), reps, total_wall_ms)) {
-      std::cerr << "bench_drift: cannot write " << out << "\n";
+    if (!bench::SplicePerfReport("bench_drift", out, {"drift/"}, lines, quick,
+                                 queries, arrivals,
+                                 static_cast<uint64_t>(seed), reps,
+                                 total_wall_ms)) {
       return 1;
     }
     std::cout << "spliced " << lines.size() << " drift cells into " << out

@@ -31,12 +31,12 @@
 //  * pick/<policy>/n=<units>[/anchors=shared]/kinetic=<on|off> —
 //    steady-state PickNext churn against a synthetic ready set. By default
 //    every re-enqueue lands at a fresh clock value, so all anchors (head
-//    arrival times) are distinct: n=60 stays within the kinetic index's
-//    bucket scan, n=500 exercises its tournament tree. The anchors=shared
-//    cells re-enqueue at an arrival time that advances only every
+//    arrival times) are distinct and every line is its own anchor bucket:
+//    the kinetic index evaluates every ready line, like the scan (at n=500
+//    its anchor table has grown to 2048 slots). The anchors=shared cells
+//    re-enqueue at an arrival time that advances only every
 //    kSharedAnchorGroup picks, the single-stream fan-out shape where
-//    hundreds of ready units share a few dozen anchors (bucket mode at
-//    n=500). The on/off pick sequences are checksummed and must match
+//    hundreds of ready units share a few dozen anchors. The on/off pick sequences are checksummed and must match
 //    exactly — the index is a drop-in replacement for the scan. Each cell
 //    carries evals_per_pick, a deterministic work counter: priority lines
 //    evaluated per pick (KineticIndex::line_evaluations() for kinetic=on,
@@ -44,8 +44,9 @@
 //  * queue/... — TupleQueue (inline ring buffer) vs std::deque on the
 //    engine's shallow-queue churn pattern.
 //  * join/insert_probe — symmetric-hash-join insert+probe path.
-//  * sim/<policy>/q=<n>/kinetic=<on|off> — full Simulate cells on the §8
-//    testbed workload; on/off QoS results are checked for exact equality.
+//  * sim/<policy>/q=<n>[/share=<k>]/kinetic=<on|off> — full Simulate cells
+//    on the §8 testbed workload (share=k: §7 sharing groups of k queries);
+//    on/off QoS results are checked for exact equality.
 //  * sim/<policy>/q=<n>/ov=on/batch=<k> — overhead-charged Simulate cells
 //    across tuple-train batch sizes; each carries its deterministic virtual
 //    throughput (tuples_per_vsec), and batch>=8 must clear 1.5x the batch=1
@@ -67,9 +68,9 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/check.h"
 #include "common/flags.h"
 #include "core/dsms.h"
@@ -352,8 +353,10 @@ void CheckSameResults(const core::RunResult& a, const core::RunResult& b,
 
 /// Benchmarks one full-simulation cell; for kinetic-capable policies the
 /// off-variant runs too and both results are checked for exact equality.
+/// `shape` names the workload in the cell name: "q=<queries>", plus
+/// "/share=<k>" for §7 sharing groups of k.
 void BenchSim(const query::Workload& workload, const std::string& policy,
-              int queries, int reps, bool has_kinetic,
+              const std::string& shape, int reps, bool has_kinetic,
               std::vector<BenchResult>* results) {
   const core::RunResult on = SimCell(workload, policy, true);
   if (has_kinetic) {
@@ -363,7 +366,7 @@ void BenchSim(const query::Workload& workload, const std::string& policy,
   KeepAlive(static_cast<int64_t>(on.qos.tuples_emitted));
   {
     std::ostringstream name;
-    name << "sim/" << policy << "/q=" << queries
+    name << "sim/" << policy << "/" << shape
          << (has_kinetic ? "/kinetic=on" : "");
     results->push_back(RunTimed(name.str(), 1, reps, [&] {
       const core::RunResult r = SimCell(workload, policy, true);
@@ -372,7 +375,7 @@ void BenchSim(const query::Workload& workload, const std::string& policy,
   }
   if (!has_kinetic) return;
   std::ostringstream name;
-  name << "sim/" << policy << "/q=" << queries << "/kinetic=off";
+  name << "sim/" << policy << "/" << shape << "/kinetic=off";
   results->push_back(RunTimed(name.str(), 1, reps, [&] {
     const core::RunResult r = SimCell(workload, policy, false);
     KeepAlive(static_cast<int64_t>(r.qos.tuples_emitted));
@@ -536,51 +539,15 @@ void BenchKernel(const query::Workload& workload, const std::string& policy,
 
 // ---------------------------------------------------------------------------
 
-/// The host's CPU model name: the first "model name" line of /proc/cpuinfo,
-/// or "unknown" where there is none.
-std::string CpuModel() {
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(cpuinfo, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const size_t colon = line.find(':');
-    if (colon == std::string::npos) break;
-    const size_t start = line.find_first_not_of(' ', colon + 1);
-    return start == std::string::npos ? "unknown" : line.substr(start);
-  }
-  return "unknown";
-}
-
-std::string CompilerId() {
-#if defined(__clang__)
-  return "clang " __clang_version__;
-#elif defined(__GNUC__)
-  return "gcc " __VERSION__;
-#else
-  return "unknown";
-#endif
-}
-
-/// `text` as a JSON string literal.
-std::string JsonString(const std::string& text) {
-  std::string quoted = "\"";
-  for (const char c : text) {
-    if (c == '"' || c == '\\') quoted += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) quoted += c;
-  }
-  return quoted + "\"";
-}
-
 std::string ToJson(const std::vector<BenchResult>& results, bool quick,
                    int queries, int64_t arrivals, uint64_t seed, int reps,
                    double total_wall_ms) {
   std::ostringstream os;
   os.precision(17);
   os << "{\n  \"schema\": \"aqsios-bench-perf/1\",\n";
-  os << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n";
-  os << "  \"cpu_model\": " << JsonString(CpuModel()) << ",\n";
-  os << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n";
-  os << "  \"compiler\": " << JsonString(CompilerId()) << ",\n";
+  for (const std::string& line : bench::ProvenanceLines(quick)) {
+    os << line << "\n";
+  }
   os << "  \"queries\": " << queries << ",\n";
   os << "  \"arrivals\": " << arrivals << ",\n";
   os << "  \"seed\": " << seed << ",\n";
@@ -635,8 +602,8 @@ int Main(int argc, char** argv) {
   const Clock::time_point suite_start = Clock::now();
   std::vector<BenchResult> results;
 
-  // PickNext churn on distinct anchors: n=60 runs the kinetic index as a
-  // bucket scan, n=500 as a tournament tree (its guard cells).
+  // PickNext churn on distinct anchors, one line per anchor bucket: the
+  // kinetic index's worst case, at n=60 and n=500.
   const int64_t pick_ops = quick ? 20000 : 200000;
   for (const int n : {60, 500}) {
     if (quick && n == 500) continue;
@@ -692,11 +659,12 @@ int Main(int argc, char** argv) {
   config.seed = static_cast<uint64_t>(seed);
   config.utilization = 0.9;
   const query::Workload workload = query::GenerateWorkload(config);
-  BenchSim(workload, "lsf", queries, reps, /*has_kinetic=*/true, &results);
-  BenchSim(workload, "bsd", queries, reps, /*has_kinetic=*/true, &results);
-  BenchSim(workload, "bsd-clustered", queries, reps, /*has_kinetic=*/true,
+  const std::string shape = "q=" + std::to_string(queries);
+  BenchSim(workload, "lsf", shape, reps, /*has_kinetic=*/true, &results);
+  BenchSim(workload, "bsd", shape, reps, /*has_kinetic=*/true, &results);
+  BenchSim(workload, "bsd-clustered", shape, reps, /*has_kinetic=*/true,
            &results);
-  BenchSim(workload, "hnr", queries, reps, /*has_kinetic=*/false, &results);
+  BenchSim(workload, "hnr", shape, reps, /*has_kinetic=*/false, &results);
 
   // Tuple-train batching under §9.2 overhead charging. Only the
   // dynamic-priority policies (LSF, BSD) pay per-decision overhead, so only
@@ -719,14 +687,24 @@ int Main(int argc, char** argv) {
   BenchKernel(kernel_workload, "bsd", queries, reps, &results);
 
   if (!quick) {
-    // 500-query cell: the ready set is large enough that the kinetic
-    // tournament's O(log n) picks separate clearly from the O(n) scan.
+    // 500-query cells: hundreds of ready units share a few dozen head
+    // arrivals, so the kinetic index's per-anchor picks separate clearly
+    // from the O(n) scan.
     query::WorkloadConfig big = config;
     big.num_queries = 500;
     big.num_arrivals = std::min<int64_t>(arrivals, 10000);
     const query::Workload big_workload = query::GenerateWorkload(big);
-    BenchSim(big_workload, "bsd", 500, reps, /*has_kinetic=*/true, &results);
-    BenchSim(big_workload, "lsf", 500, reps, /*has_kinetic=*/true, &results);
+    BenchSim(big_workload, "bsd", "q=500", reps, /*has_kinetic=*/true,
+             &results);
+    BenchSim(big_workload, "lsf", "q=500", reps, /*has_kinetic=*/true,
+             &results);
+    // With §7 sharing groups of 10, BSD's ready set spreads over more than
+    // a hundred distinct head arrivals, the most of any measured shape
+    // (docs/performance.md): the anchor table grows past its initial size.
+    big.sharing_group_size = 10;
+    const query::Workload shared_workload = query::GenerateWorkload(big);
+    BenchSim(shared_workload, "bsd", "q=500/share=10", reps,
+             /*has_kinetic=*/true, &results);
   }
 
   const double total_wall_ms = ElapsedMs(suite_start);

@@ -46,12 +46,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/check.h"
 #include "common/flags.h"
 #include "core/dsms.h"
@@ -299,78 +299,6 @@ std::string CellLine(const StressCell& cell, int queries) {
   return os.str();
 }
 
-bool IsBenchmarkLine(const std::string& line) {
-  return line.rfind("    {\"name\": ", 0) == 0;
-}
-
-bool IsStressLine(const std::string& line) {
-  return line.rfind("    {\"name\": \"stress/", 0) == 0;
-}
-
-/// Splices the stress cells into an aqsios-bench-perf/1 report: header and
-/// non-stress benchmark lines (micro benches, scaling cells) are kept
-/// verbatim, existing stress/ lines are replaced, trailing commas are
-/// re-normalized. Falls back to a fresh report when `path` is missing or
-/// not in the expected shape. Returns false when `path` cannot be written.
-bool WriteReport(const std::string& path, const std::vector<std::string>& cells,
-                 int queries, int64_t arrivals, uint64_t seed, int reps,
-                 double total_wall_ms) {
-  std::vector<std::string> header;
-  std::vector<std::string> kept;
-  bool parsed = false;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::string line;
-      bool in_benchmarks = false;
-      while (std::getline(in, line)) {
-        if (!in_benchmarks) {
-          header.push_back(line);
-          if (line == "  \"benchmarks\": [") {
-            in_benchmarks = true;
-            parsed = true;
-          }
-        } else if (IsBenchmarkLine(line)) {
-          if (!IsStressLine(line)) kept.push_back(line);
-        }
-        // Footer lines ("  ]", "}") and anything unexpected are re-emitted
-        // from scratch below.
-      }
-    }
-  }
-  if (!parsed) {
-    header.clear();
-    std::ostringstream os;
-    os.precision(17);
-    os << "{\n  \"schema\": \"aqsios-bench-perf/1\",\n";
-    os << "  \"queries\": " << queries << ",\n";
-    os << "  \"arrivals\": " << arrivals << ",\n";
-    os << "  \"seed\": " << seed << ",\n";
-    os << "  \"reps\": " << reps << ",\n";
-    os << "  \"total_wall_ms\": " << total_wall_ms << ",\n";
-    os << "  \"benchmarks\": [";
-    std::string line;
-    std::istringstream is(os.str());
-    while (std::getline(is, line)) header.push_back(line);
-  }
-
-  // Re-normalize commas: strip, then re-add on all but the last line.
-  for (std::string& line : kept) {
-    if (!line.empty() && line.back() == ',') line.pop_back();
-  }
-  std::vector<std::string> body = kept;
-  body.insert(body.end(), cells.begin(), cells.end());
-
-  std::ofstream out(path);
-  if (!out.good()) return false;
-  for (const std::string& line : header) out << line << "\n";
-  for (size_t i = 0; i < body.size(); ++i) {
-    out << body[i] << (i + 1 < body.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.good();
-}
-
 int Main(int argc, char** argv) {
   std::string out = "BENCH_perf.json";
   int queries = 10000;
@@ -499,9 +427,10 @@ int Main(int argc, char** argv) {
   }
   const double total_wall_ms = ElapsedMs(suite_start);
   if (!out.empty()) {
-    if (!WriteReport(out, lines, queries, arrivals,
-                     static_cast<uint64_t>(seed), reps, total_wall_ms)) {
-      std::cerr << "bench_stress: cannot write " << out << "\n";
+    if (!bench::SplicePerfReport("bench_stress", out, {"stress/"}, lines, quick,
+                                 queries, arrivals,
+                                 static_cast<uint64_t>(seed), reps,
+                                 total_wall_ms)) {
       return 1;
     }
     std::cout << "spliced " << lines.size() << " stress cells into " << out

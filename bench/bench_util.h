@@ -9,9 +9,14 @@
 #ifndef AQSIOS_BENCH_BENCH_UTIL_H_
 #define AQSIOS_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/flags.h"
@@ -216,6 +221,155 @@ inline void PrintReduction(const std::string& label, double ours,
       baseline > 0.0 ? (1.0 - ours / baseline) * 100.0 : 0.0;
   std::cout << label << ": " << ours << " vs " << baseline << "  ("
             << percent << "% lower)\n";
+}
+
+// ---------------------------------------------------------------------------
+// aqsios-bench-perf/1 reports (BENCH_perf.json).
+
+/// The host's CPU model name: the first "model name" line of /proc/cpuinfo,
+/// or "unknown" where there is none.
+inline std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
+inline std::string CompilerId() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+/// `text` as a JSON string literal.
+inline std::string JsonString(const std::string& text) {
+  std::string quoted = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') quoted += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) quoted += c;
+  }
+  return quoted + "\"";
+}
+
+/// The report header lines that say how and where its cells were measured:
+/// "mode" ("quick" cells reuse the full-mode names at smaller sizes),
+/// "cpu_model", "nproc" (hardware threads) and "compiler", in that order.
+inline std::vector<std::string> ProvenanceLines(bool quick) {
+  return {
+      std::string("  \"mode\": \"") + (quick ? "quick" : "full") + "\",",
+      "  \"cpu_model\": " + JsonString(CpuModel()) + ",",
+      "  \"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+          ",",
+      "  \"compiler\": " + JsonString(CompilerId()) + ",",
+  };
+}
+
+/// Splices `cells` (one JSON object line each, without trailing comma) into
+/// the aqsios-bench-perf/1 report at `path`. Benchmark lines whose name
+/// starts with one of `owned_prefixes` are replaced, the others (micro
+/// benches, the other splicing benches' cells) kept verbatim, and trailing
+/// commas re-normalized. A missing report, or a file not in the report's
+/// shape, is replaced by a fresh report whose header carries this run's
+/// provenance and workload knobs. An existing report is only spliced into
+/// when its header carries this run's ProvenanceLines exactly: otherwise
+/// the cells would inherit another host's or mode's header, so `bench`
+/// reports the mismatch, leaves the file untouched and returns false (write
+/// to another --out instead). Also returns false when `path` cannot be
+/// written.
+inline bool SplicePerfReport(const std::string& bench, const std::string& path,
+                             const std::vector<std::string>& owned_prefixes,
+                             const std::vector<std::string>& cells,
+                             bool quick, int queries, int64_t arrivals,
+                             uint64_t seed, int reps, double total_wall_ms) {
+  const std::vector<std::string> provenance = ProvenanceLines(quick);
+  const auto owned = [&](const std::string& line) {
+    for (const std::string& prefix : owned_prefixes) {
+      if (line.rfind("    {\"name\": \"" + prefix, 0) == 0) return true;
+    }
+    return false;
+  };
+  std::vector<std::string> header;
+  std::vector<std::string> kept;
+  bool parsed = false;
+  {
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (!parsed) {
+        header.push_back(line);
+        parsed = line == "  \"benchmarks\": [";
+      } else if (line.rfind("    {\"name\": ", 0) == 0 && !owned(line)) {
+        // Footer lines ("  ]", "}") are re-emitted from scratch below.
+        if (line.back() == ',') line.pop_back();
+        kept.push_back(line);
+      }
+    }
+  }
+  if (parsed) {
+    for (const std::string& expected : provenance) {
+      const size_t colon = expected.find(':');
+      const std::string key = expected.substr(0, colon + 1);
+      std::string found;
+      for (const std::string& line : header) {
+        if (line.rfind(key, 0) == 0) found = line;
+      }
+      if (found != expected) {
+        // The text after "<key>: ", without a trailing comma.
+        const auto value = [&](std::string line) {
+          if (line.back() == ',') line.pop_back();
+          return line.substr(std::min(colon + 2, line.size()));
+        };
+        std::cerr << bench << ": not splicing into " << path << ": its "
+                  << key.substr(2, key.size() - 3) << " is "
+                  << (found.empty() ? "missing" : value(found))
+                  << ", this run's is " << value(expected)
+                  << " (write to another --out)\n";
+        return false;
+      }
+    }
+  } else {
+    std::ostringstream os;
+    os.precision(17);
+    os << "{\n  \"schema\": \"aqsios-bench-perf/1\",\n";
+    for (const std::string& line : provenance) os << line << "\n";
+    os << "  \"queries\": " << queries << ",\n";
+    os << "  \"arrivals\": " << arrivals << ",\n";
+    os << "  \"seed\": " << seed << ",\n";
+    os << "  \"reps\": " << reps << ",\n";
+    os << "  \"total_wall_ms\": " << total_wall_ms << ",\n";
+    os << "  \"benchmarks\": [";
+    header.clear();
+    std::istringstream is(os.str());
+    for (std::string line; std::getline(is, line);) header.push_back(line);
+  }
+
+  std::vector<std::string> body = kept;
+  body.insert(body.end(), cells.begin(), cells.end());
+  std::ofstream out(path);
+  if (!out.good()) {
+    std::cerr << bench << ": cannot write " << path << "\n";
+    return false;
+  }
+  for (const std::string& line : header) out << line << "\n";
+  for (size_t i = 0; i < body.size(); ++i) {
+    out << body[i] << (i + 1 < body.size() ? "," : "") << "\n";
+  }
+  out << "  ]\n}\n";
+  if (!out.good()) {
+    std::cerr << bench << ": cannot write " << path << "\n";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace aqsios::bench

@@ -9,8 +9,8 @@
 //   BSD:   (S / (C̄·T²))·W  — balance slowdown
 //
 // LSF and BSD have time-varying priorities; by default they answer each pick
-// from a KineticIndex (O(log n) amortized wall-clock) instead of the naive
-// O(n) scan. The two implementations return bit-identical decisions and
+// from a KineticIndex (one evaluation per distinct head arrival time)
+// instead of the naive O(n) scan. The two implementations return bit-identical decisions and
 // charge identical simulated SchedulingCost — the flag only changes how fast
 // the simulator itself runs (see docs/performance.md).
 
@@ -147,8 +147,8 @@ class LsfScheduler final : public Scheduler {
   void OnStatsUpdated() override;
   /// Targeted calibration path: re-keys only the changed units' priority
   /// lines (new 1/T slopes, unchanged anchors) through the kinetic index's
-  /// Insert-on-existing-id + dirty-marking — O(log n) amortized per changed
-  /// unit, never a Clear. The scan path reads stats live and needs nothing.
+  /// Insert-on-existing-id, which moves the line within its anchor bucket —
+  /// one per changed unit, never a Clear. The scan path reads stats live and needs nothing.
   void OnCalibratedStats(const std::vector<int>& changed,
                          SimTime now) override;
   void ResyncQueues(SimTime now) override;

@@ -18,8 +18,8 @@
 //     common factor) and re-derives the priority fields.
 //   * The changed set is handed to Scheduler::OnCalibratedStats, whose
 //     kinetic implementations re-key only those units' priority lines
-//     through the index's dirty-marking — O(log n) amortized per affected
-//     unit, never a full heap rebuild (tests pin KineticIndex::clears()).
+//     through the index's Insert-on-existing-id — one re-key per affected
+//     unit, never a full rebuild (tests pin KineticIndex::clears()).
 //
 // Epochs fire at deterministic virtual times and all estimator inputs are
 // simulated quantities, so calibrated runs are bit-reproducible across

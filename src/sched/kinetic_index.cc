@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -19,16 +18,11 @@ uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 /// Buckets key anchors by value: +0 and -0 share a key (their x = now -
 /// anchor compare equal; see ResolveTies for the returned priority).
 uint64_t AnchorKey(double anchor) { return anchor == 0.0 ? 0 : Bits(anchor); }
-
-/// Home slot of a key in the anchor table (Fibonacci hashing: the top bits
-/// of key * 2^64 / phi).
-size_t AnchorHome(uint64_t key) {
-  static_assert(KineticIndex::kAnchorSlots == 256);
-  return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> 56);
-}
 }  // namespace
 
 void KineticIndex::Reserve(int max_ids) {
+  // Power-of-two capacities: exact sizes shifted the heap's layout enough to
+  // raise drift_calibrated's peak RSS (docs/performance.md).
   int capacity = 1;
   while (capacity < max_ids) capacity <<= 1;
   capacity_ = capacity;
@@ -37,8 +31,6 @@ void KineticIndex::Reserve(int max_ids) {
   lines_.assign(slots, Line{});
   links_.assign(slots, Link{});
   DropBuckets();
-  tree_ = false;
-  nodes_.clear();
   size_ = 0;
 }
 
@@ -46,7 +38,6 @@ void KineticIndex::Clear() {
   ++clears_;
   std::fill(occupied_.begin(), occupied_.end(), 0);
   DropBuckets();
-  std::fill(nodes_.begin(), nodes_.end(), Node{-1, kInf, kInf});
   size_ = 0;
 }
 
@@ -55,17 +46,12 @@ void KineticIndex::Insert(int id, double anchor, double coef,
   AQSIOS_DCHECK_GE(id, 0);
   AQSIOS_DCHECK_GT(coef, 0.0);
   if (id >= capacity_) {
-    int capacity = capacity_ == 0 ? 1 : capacity_;
-    while (capacity <= id) capacity <<= 1;
-    const size_t slots = static_cast<size_t>(capacity);
+    if (capacity_ == 0) capacity_ = 1;
+    while (capacity_ <= id) capacity_ <<= 1;
+    const size_t slots = static_cast<size_t>(capacity_);
     occupied_.resize(slots, 0);
     lines_.resize(slots, Line{});
     links_.resize(slots, Link{});
-    if (tree_) {
-      Rebuild(capacity);
-    } else {
-      capacity_ = capacity;
-    }
   }
   const size_t slot = static_cast<size_t>(id);
   const Line& line = lines_[slot];
@@ -73,16 +59,6 @@ void KineticIndex::Insert(int id, double anchor, double coef,
   if (present && Bits(line.anchor) == Bits(anchor) && line.coef == coef &&
       line.tie == tie_key) {
     return;  // same line: nothing to re-key
-  }
-  if (tree_) {
-    if (!present) {
-      occupied_[slot] = 1;
-      ++size_;
-      nodes_[static_cast<size_t>(capacity_ + id)].winner = id;
-    }
-    SetLine(id, anchor, coef, tie_key);
-    MarkPath(id);
-    return;
   }
   if (present) {
     const size_t pos = static_cast<size_t>(
@@ -118,42 +94,25 @@ void KineticIndex::Insert(int id, double anchor, double coef,
 
 void KineticIndex::Erase(int id) {
   if (!Contains(id)) return;
-  if (tree_) {
-    nodes_[static_cast<size_t>(capacity_ + id)].winner = -1;
-    MarkPath(id);
-  } else {
-    RemoveFromBucket(id);
-  }
+  RemoveFromBucket(id);
   occupied_[static_cast<size_t>(id)] = 0;
   --size_;
 }
 
-void KineticIndex::SetLine(int id, double anchor, double coef,
-                           double tie_key) {
-  Line& line = lines_[static_cast<size_t>(id)];
-  line.anchor = anchor;
-  line.coef = coef;
-  line.tie = tie_key;
-  if (tree_) line.slope = mode_ == EvalMode::kRatio ? 1.0 / coef : coef;
-}
-
 int KineticIndex::ArgMax(SimTime now, double* priority) {
   if (size_ == 0) return -1;
-  last_time_ = now;
-  if (tree_) return TreeArgMax(now, priority);
   return mode_ == EvalMode::kRatio
              ? BucketArgMax<EvalMode::kRatio>(now, priority)
              : BucketArgMax<EvalMode::kScaled>(now, priority);
 }
-
-// --- bucket mode -------------------------------------------------------------
 
 int KineticIndex::FindBucket(double anchor) const {
   // Time moves forward, so a new anchor is usually past every anchor seen
   // so far: that answers "no bucket" without a probe.
   if (!(anchor <= anchor_ceiling_)) return -1;
   const uint64_t key = AnchorKey(anchor);
-  for (size_t i = AnchorHome(key);; i = (i + 1) & (kAnchorSlots - 1)) {
+  const size_t mask = anchor_table_.size() - 1;
+  for (size_t i = AnchorHome(key);; i = (i + 1) & mask) {
     const AnchorSlot& slot = anchor_table_[i];
     if (slot.handle < 0) return -1;
     if (slot.key == key) return head_pos_[static_cast<size_t>(slot.handle)];
@@ -161,29 +120,33 @@ int KineticIndex::FindBucket(double anchor) const {
 }
 
 void KineticIndex::MapAnchor(double anchor, int handle) {
+  AQSIOS_DCHECK_LE(3 * buckets_.size(), anchor_table_.size())
+      << "anchor table loaded past a third";
   const uint64_t key = AnchorKey(anchor);
+  const size_t mask = anchor_table_.size() - 1;
   size_t i = AnchorHome(key);
-  while (anchor_table_[i].handle >= 0) i = (i + 1) & (kAnchorSlots - 1);
+  while (anchor_table_[i].handle >= 0) i = (i + 1) & mask;
   anchor_table_[i] = AnchorSlot{key, handle};
 }
 
 void KineticIndex::UnmapAnchor(double anchor) {
-  constexpr size_t kMask = kAnchorSlots - 1;
+  const size_t mask = anchor_table_.size() - 1;
   const uint64_t key = AnchorKey(anchor);
   size_t hole = AnchorHome(key);
   for (size_t probes = 0;
        anchor_table_[hole].handle < 0 || anchor_table_[hole].key != key;
        ++probes) {
-    AQSIOS_CHECK_LT(probes, kAnchorSlots) << "anchor missing from its table";
-    hole = (hole + 1) & kMask;
+    AQSIOS_CHECK_LT(probes, anchor_table_.size())
+        << "anchor missing from its table";
+    hole = (hole + 1) & mask;
   }
   // Backward-shift deletion: move each later entry of the probe run whose
   // home does not lie cyclically after the hole back into it, so lookups
   // need no tombstones.
-  for (size_t j = (hole + 1) & kMask; anchor_table_[j].handle >= 0;
-       j = (j + 1) & kMask) {
+  for (size_t j = (hole + 1) & mask; anchor_table_[j].handle >= 0;
+       j = (j + 1) & mask) {
     const size_t home = AnchorHome(anchor_table_[j].key);
-    if (((j - home) & kMask) >= ((j - hole) & kMask)) {
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
       anchor_table_[hole] = anchor_table_[j];
       hole = j;
     }
@@ -191,9 +154,18 @@ void KineticIndex::UnmapAnchor(double anchor) {
   anchor_table_[hole].handle = -1;
 }
 
+void KineticIndex::GrowAnchorTable() {
+  anchor_table_.assign(2 * anchor_table_.size(), AnchorSlot{});
+  --anchor_shift_;
+  for (size_t pos = 0; pos < buckets_.size(); ++pos) {
+    MapAnchor(anchors_[pos], buckets_[pos].handle);
+  }
+}
+
 void KineticIndex::AddToBucket(int id, int pos) {
   const Line& line = lines_[static_cast<size_t>(id)];
   if (pos < 0) {
+    if (3 * (buckets_.size() + 1) > anchor_table_.size()) GrowAnchorTable();
     int handle;
     if (free_handles_.empty()) {
       handle = static_cast<int>(groups_.size());
@@ -210,7 +182,6 @@ void KineticIndex::AddToBucket(int id, int pos) {
     MapAnchor(line.anchor, handle);
     anchor_ceiling_ = std::max(anchor_ceiling_, line.anchor);
     links_[static_cast<size_t>(id)].handle = handle;
-    if (bucket_count() > kTreeEnterBuckets) EnterTree();
     return;
   }
   Bucket& bucket = buckets_[static_cast<size_t>(pos)];
@@ -322,7 +293,7 @@ void KineticIndex::DropBuckets() {
   anchors_.clear();
   buckets_.clear();
   anchor_ceiling_ = -kInf;
-  anchor_table_.fill(AnchorSlot{});
+  std::fill(anchor_table_.begin(), anchor_table_.end(), AnchorSlot{});
 }
 
 void KineticIndex::ResolveRun(size_t pos, double now, double best,
@@ -444,196 +415,6 @@ int KineticIndex::ResolveTies(SimTime now, double best, size_t best_pos,
     *priority = best;
   }
   return winner.id;
-}
-
-// --- mode switches -----------------------------------------------------------
-
-void KineticIndex::EnterTree() {
-  DropBuckets();
-  tree_ = true;
-  for (int id = 0; id < capacity_; ++id) {
-    if (!occupied_[static_cast<size_t>(id)]) continue;
-    Line& line = lines_[static_cast<size_t>(id)];
-    line.slope = mode_ == EvalMode::kRatio ? 1.0 / line.coef : line.coef;
-  }
-  recount_countdown_ = kRecountPeriod;
-  Rebuild(capacity_);
-}
-
-void KineticIndex::LeaveTree() {
-  tree_ = false;
-  nodes_.clear();
-  for (int id = 0; id < capacity_; ++id) {
-    if (occupied_[static_cast<size_t>(id)]) {
-      AddToBucket(id, FindBucket(lines_[static_cast<size_t>(id)].anchor));
-    }
-  }
-}
-
-int KineticIndex::CountAnchorsUpTo(int limit) {
-  anchor_scratch_.clear();
-  for (int id = 0; id < capacity_; ++id) {
-    if (!occupied_[static_cast<size_t>(id)]) continue;
-    const uint64_t bits = Bits(lines_[static_cast<size_t>(id)].anchor);
-    if (std::find(anchor_scratch_.begin(), anchor_scratch_.end(), bits) !=
-        anchor_scratch_.end()) {
-      continue;
-    }
-    anchor_scratch_.push_back(bits);
-    if (static_cast<int>(anchor_scratch_.size()) >= limit) break;
-  }
-  return static_cast<int>(anchor_scratch_.size());
-}
-
-// --- tree mode ---------------------------------------------------------------
-
-void KineticIndex::Rebuild(int new_capacity) {
-  capacity_ = new_capacity;
-  const size_t leaves = static_cast<size_t>(capacity_);
-  nodes_.assign(leaves * 2, Node{-1, kInf, kInf});
-  for (int slot = 0; slot < capacity_; ++slot) {
-    if (occupied_[static_cast<size_t>(slot)]) {
-      nodes_[static_cast<size_t>(capacity_ + slot)].winner = slot;
-    }
-  }
-  for (int node = capacity_ - 1; node >= 1; --node) {
-    RecomputeNode(node, last_time_);
-  }
-}
-
-void KineticIndex::MarkPath(int slot) {
-  // Flag the leaf and its ancestors as dirty (-inf expiry). Stops as soon as
-  // an ancestor is already dirty: by construction dirtiness always extends
-  // to the root, so the remaining prefix is already marked. No priority
-  // arithmetic happens here — it is all deferred to the next ArgMax, which
-  // both deduplicates overlapping paths and evaluates matches at the query
-  // time instead of a stale clock.
-  size_t node = static_cast<size_t>(capacity_ + slot);
-  while (nodes_[node].subtree_exp != -kInf) {
-    nodes_[node].subtree_exp = -kInf;
-    if (node == 1) break;
-    node >>= 1;
-  }
-}
-
-void KineticIndex::RecomputeNode(int node, double t) {
-  const size_t i = static_cast<size_t>(node);
-  const size_t l = i << 1;
-  const size_t r = l | 1;
-  const int wl = nodes_[l].winner;
-  const int wr = nodes_[r].winner;
-  int winner;
-  double match_exp = kInf;
-  if (wl < 0 || wr < 0) {
-    winner = wl < 0 ? wr : wl;
-  } else {
-    line_evaluations_ += 2;
-    const double pl = Eval(wl, t);
-    const double pr = Eval(wr, t);
-    const Line& ll = lines_[static_cast<size_t>(wl)];
-    const Line& lr = lines_[static_cast<size_t>(wr)];
-    bool left_wins;
-    if (pl != pr) {
-      left_wins = pl > pr;
-    } else if (ll.tie != lr.tie) {
-      left_wins = ll.tie < lr.tie;
-    } else {
-      left_wins = wl < wr;
-    }
-    winner = left_wins ? wl : wr;
-    const Line& lw = left_wins ? ll : lr;
-    const Line& lo = left_wins ? lr : ll;
-    // The computed comparison is only trusted while the exact gap
-    // D = P_w - P_o exceeds a guard band of kBand * (|P_w| + |P_o|), far
-    // wider than the few-ulp rounding of either evaluation. D changes at
-    // rate s_w - s_o and the band grows at most at rate kBand * (s_w + s_o),
-    // so the match holds at least until the gap closes onto the band.
-    constexpr double kBand = 1e-9;
-    const double pw = left_wins ? pl : pr;
-    const double po = left_wins ? pr : pl;
-    const double gap = (pw - po) - kBand * (std::abs(pw) + std::abs(po));
-    if (!(gap > 0.0)) {
-      // Inside the band — a near-tie, possibly distinct lines that round to
-      // equal priorities: re-decide on every query. Identical lines tie
-      // forever and keep their tie-break, so they need no certificate.
-      if (Bits(lw.anchor) != Bits(lo.anchor) || lw.coef != lo.coef) {
-        match_exp = t;
-      }
-    } else {
-      const double closing =
-          (lo.slope - lw.slope) + kBand * (lw.slope + lo.slope);
-      if (closing > 0.0) match_exp = t + gap / closing;
-    }
-  }
-  nodes_[i].winner = winner;
-  nodes_[i].match_exp = match_exp;
-  nodes_[i].subtree_exp = std::min(
-      match_exp, std::min(nodes_[l].subtree_exp, nodes_[r].subtree_exp));
-}
-
-bool KineticIndex::RefreshNode(int node, double now) {
-  const size_t i = static_cast<size_t>(node);
-  const size_t l = i << 1;
-  const size_t r = l | 1;
-  bool left_changed = false;
-  bool right_changed = false;
-  if (static_cast<int>(l) >= capacity_) {
-    // Children are leaves. A leaf with an expired (-inf, i.e. dirty) marker
-    // had its line rewritten — or the slot emptied — by an Insert/Erase
-    // since the last query. Reporting "changed" forces every ancestor match
-    // its line participates in to be recomputed: the winning *slot* of
-    // those matches may be unchanged while the line behind it is not, so a
-    // slot comparison alone would be unsound.
-    if (nodes_[l].subtree_exp <= now) {
-      nodes_[l].subtree_exp = kInf;
-      left_changed = true;
-    }
-    if (nodes_[r].subtree_exp <= now) {
-      nodes_[r].subtree_exp = kInf;
-      right_changed = true;
-    }
-  } else {
-    // Recurse only into expired/dirty subtrees; clean ones are not entered.
-    if (nodes_[l].subtree_exp <= now) left_changed = RefreshNode(l, now);
-    if (nodes_[r].subtree_exp <= now) right_changed = RefreshNode(r, now);
-  }
-  const int old_winner = nodes_[i].winner;
-  if (!(left_changed || right_changed) && nodes_[i].match_exp > now) {
-    // Only descendants tightened their expiries; the cached match is intact.
-    nodes_[i].subtree_exp =
-        std::min(nodes_[i].match_exp,
-                 std::min(nodes_[l].subtree_exp, nodes_[r].subtree_exp));
-    return false;
-  }
-  RecomputeNode(node, now);
-  const int w = nodes_[i].winner;
-  if (w != old_winner) return true;
-  // Same winning slot — but if the winner came out of a subtree that
-  // reported a change, its *line* may have been rewritten, and ancestors
-  // matched against the old line must re-run their matches too.
-  return w == nodes_[l].winner ? left_changed : right_changed;
-}
-
-int KineticIndex::TreeArgMax(SimTime now, double* priority) {
-  if (--recount_countdown_ <= 0) {
-    recount_countdown_ = kRecountPeriod;
-    if (CountAnchorsUpTo(kTreeLeaveBuckets + 1) <= kTreeLeaveBuckets) {
-      LeaveTree();
-      return ArgMax(now, priority);
-    }
-  }
-  if (capacity_ > 1) {
-    if (nodes_[1].subtree_exp <= now) RefreshNode(1, now);
-  } else {
-    // Single-leaf tree: node 1 is the leaf itself; just clear its marker.
-    nodes_[1].subtree_exp = kInf;
-  }
-  const int winner = nodes_[1].winner;
-  if (priority != nullptr) {
-    ++line_evaluations_;
-    *priority = Eval(winner, now);
-  }
-  return winner;
 }
 
 }  // namespace aqsios::sched

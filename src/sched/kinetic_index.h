@@ -8,23 +8,23 @@
 //   clustered:  p_c(t) = pseudo_c * (t - head_c)    (slope pseudo_c)
 //
 // where a_u is the head tuple's arrival time (the line's *anchor*). The index
-// answers the argmax over ready units in one of two modes, chosen from the
-// distinct anchors it holds:
+// answers the argmax over ready units with one evaluation per distinct
+// anchor.
 //
-// Bucket mode (the common case). Live ids are grouped into buckets keyed by
-// the exact anchor value. With a single-stream workload every arrival fans
-// out to all subscribed units, so hundreds of ready units share a few dozen
-// anchors. Inside a bucket x = t - anchor is one shared value, and the
-// scan's arithmetic (`x / coef` or `coef * x`) is monotone in coef under IEEE
-// rounding: non-decreasing in coef for kScaled and in -coef for kRatio when
-// x >= 0, non-increasing when x < 0. Each bucket is kept sorted by that
-// dominance key (then tie key), so its best line sits at one end — the back
-// for x >= 0, the front for x < 0 — and the lines whose priority equals the
-// best form a contiguous run from that end. ArgMax evaluates one line per
-// bucket, takes the maximum, and walks the equal-priority run of each bucket
-// that reached it to pick the smallest (tie, id). That is exact with no
-// precondition: near-ties that round equal, x = 0 (every line of the bucket
-// ties) and anchors ahead of `now` all fall out of the same walk.
+// Live ids are grouped into buckets keyed by the exact anchor value. With a
+// single-stream workload every arrival fans out to all subscribed units, so
+// hundreds of ready units share a few dozen anchors. Inside a bucket
+// x = t - anchor is one shared value, and the scan's arithmetic (`x / coef`
+// or `coef * x`) is monotone in coef under IEEE rounding: non-decreasing in
+// coef for kScaled and in -coef for kRatio when x >= 0, non-increasing when
+// x < 0. Each bucket is kept sorted by that dominance key (then tie key), so
+// its best line sits at one end — the back for x >= 0, the front for x < 0 —
+// and the lines whose priority equals the best form a contiguous run from
+// that end. ArgMax evaluates one line per bucket, takes the maximum, and
+// walks the equal-priority run of each bucket that reached it to pick the
+// smallest (tie, id). That is exact with no precondition: near-ties that
+// round equal, x = 0 (every line of the bucket ties) and anchors ahead of
+// `now` all fall out of the same walk.
 //
 // Units that share an anchor mostly share the coefficient too (the paper's
 // testbed draws queries from a few cost and selectivity classes), so a
@@ -37,51 +37,27 @@
 // dequeue re-key of a pick's winner pops its group's head. A one-line
 // bucket keeps its line in the bucket record and no group.
 //
-// Tree mode (many distinct anchors). A kinetic tournament: a complete binary
-// tree holds one leaf per id; each internal node caches the winner of its
-// two subtrees plus a *certificate* — a time before which that match cannot
-// flip (see below). ArgMax(now) only re-evaluates subtrees
-// whose certificates have expired; inserts and erases just mark their
-// leaf-to-root path dirty and the next ArgMax re-runs the marked matches
-// once, at the query time. O(log n) amortized whatever the anchors.
-//
-// The switch rule. A bucket scan costs one evaluation per bucket, so it wins
-// while buckets are few and loses to the tree's O(log n) once they are many
-// (a pick re-keys the winner of every match on its leaf-to-root path, so the
-// tree replays ~log n matches per pick; the bucket scan replaces that with a
-// flat pass). The index starts in bucket mode and enters tree mode as soon as
-// an insert pushes the live bucket count past kTreeEnterBuckets; entering
-// rebuilds the tree from the stored lines. Tree mode keeps no buckets, so
-// every kRecountPeriod queries it counts the distinct live anchors (stopping
-// early past the limit) and returns to bucket mode once there are at most
-// kTreeLeaveBuckets. The gap between the two thresholds and the recount
-// period bound how often the mode can flip. Which mode answers is invisible
-// to callers except through tree_mode(), bucket_count() and
-// line_evaluations().
+// Anchors map to buckets through an open-addressing table that starts at
+// kInitialAnchorSlots and doubles whenever a new bucket would fill more than
+// a third of it, so inputs with hundreds of distinct anchors (every line its
+// own bucket) stay exact and keep short probes; a pick then costs one
+// evaluation per line, like the scan. The measured traffic (every
+// benchmark workload and sweep cell peaks at a few dozen buckets) and the
+// many-anchor cells are in docs/performance.md.
 //
 // Bit-identical contract: the index must return exactly the unit the linear
 // scan in basic_policies.cc / clustered_bsd.cc would return, including its
 // priority *value* with identical floating-point rounding. Two rules make
-// that hold in both modes:
+// that hold:
 //
 //  1. Comparisons evaluate the scan's own arithmetic (EvalMode::kRatio =
 //     `(t - anchor) / coef`, EvalMode::kScaled = `coef * (t - anchor)`),
-//     never rearranged line algebra. Tree certificates are merely
-//     conservative *re-check times*; a pessimistic certificate costs a
-//     re-evaluation, never a wrong answer.
+//     never rearranged line algebra.
 //  2. Ties reproduce the scan's iteration order: the scan iterates an
 //     ordered set and keeps the first maximum (strict `>`), so ties go to
 //     the smallest (tie_key, id) pair. LSF/BSD pass tie_key = 0 (lowest id
 //     wins, matching std::set<int>); clustered BSD passes tie_key =
 //     head time (matching its std::set<pair<SimTime, cluster>>).
-//
-// A tree certificate is the time at which the exact gap between the two
-// lines could shrink to a guard band of 1e-9 * (|p_w| + |p_o|), orders of
-// magnitude wider than the rounding of either evaluation; while the gap
-// stays outside the band the computed comparison cannot flip. A match
-// already inside the band (a near-tie, including distinct lines that round
-// to equal priorities) gets the certificate "now" and is re-decided on
-// every query, which is the safe direction.
 //
 // Measured effect (arrivals per second and traced pick cost on the
 // benchmark's paper_q500 workload, with provenance): docs/performance.md.
@@ -89,7 +65,7 @@
 #ifndef AQSIOS_SCHED_KINETIC_INDEX_H_
 #define AQSIOS_SCHED_KINETIC_INDEX_H_
 
-#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -111,11 +87,11 @@ class KineticIndex {
 
   explicit KineticIndex(EvalMode mode) : mode_(mode) {}
 
-  /// Pre-sizes the index for ids in [0, max_ids), clears it and returns it to
-  /// bucket mode. The index grows on demand if a larger id is inserted later.
+  /// Pre-sizes the index for ids in [0, max_ids) and clears it. The index
+  /// grows on demand if a larger id is inserted later.
   void Reserve(int max_ids);
 
-  /// Removes all entries (capacity, mode and clock are kept).
+  /// Removes all entries (capacities are kept).
   void Clear();
 
   /// Inserts id with the given line, or re-keys it if already present.
@@ -143,21 +119,19 @@ class KineticIndex {
     return Eval(id, t);
   }
 
-  /// Priority lines evaluated since construction, in either mode: one per
-  /// bucket scanned plus one per neighbouring group checked in bucket mode,
-  /// two per tournament match replayed plus one for the returned priority
-  /// in tree mode. Deterministic for a given operation sequence, so tests and
-  /// benchmarks can count the work an ArgMax did (a valid root certificate
-  /// makes a tree-mode ArgMax evaluate nothing).
+  /// Priority lines evaluated since construction: one per bucket scanned,
+  /// plus one per neighbouring group checked for a tie, plus one when a zero
+  /// maximum is re-evaluated for its sign. Deterministic for a given
+  /// operation sequence, so tests and benchmarks can count the work an
+  /// ArgMax did.
   int64_t line_evaluations() const { return line_evaluations_; }
 
-  /// Whether the index currently answers with the tournament tree instead
-  /// of the bucket scan (introspection).
-  bool tree_mode() const { return tree_; }
-
-  /// Live anchor buckets while in bucket mode; 0 in tree mode, which keeps
-  /// no buckets (introspection).
+  /// Live anchor buckets: one per distinct live anchor (introspection).
   int bucket_count() const { return static_cast<int>(buckets_.size()); }
+
+  /// Slots of the anchor -> bucket table; at least three per live bucket
+  /// (introspection).
+  int anchor_slots() const { return static_cast<int>(anchor_table_.size()); }
 
   /// Full wipes (Clear calls) since construction. The calibration re-key
   /// path must never trigger one — tests pin this counter to prove re-keys
@@ -165,20 +139,10 @@ class KineticIndex {
   /// rebuild-the-world.
   int64_t clears() const { return clears_; }
 
-  /// Bucket mode hands over to the tree when an insert makes the live
-  /// bucket count exceed this: sixty one-line buckets still pick in well
-  /// under the time of a 512-leaf tournament (BENCH_perf.json,
-  /// pick/bsd/n=60 vs pick/bsd/n=500, measured on one host).
-  static constexpr int kTreeEnterBuckets = 64;
-  /// Tree mode hands back to the bucket scan when a recount finds at most
-  /// this many distinct live anchors.
-  static constexpr int kTreeLeaveBuckets = 32;
-  /// Tree-mode ArgMax calls between two distinct-anchor recounts.
-  static constexpr int kRecountPeriod = 1024;
-  /// Slots of the anchor -> bucket table: at least three per live bucket,
-  /// so linear probes stay short.
-  static constexpr size_t kAnchorSlots = 256;
-  static_assert(kAnchorSlots >= 3 * (kTreeEnterBuckets + 1));
+  /// Initial slots of the anchor -> bucket table (a power of two). It holds
+  /// 85 buckets before its first doubling, more than any benchmark workload
+  /// keeps live (docs/performance.md).
+  static constexpr size_t kInitialAnchorSlots = 256;
 
  private:
   double Eval(int slot, double t) const {
@@ -187,11 +151,10 @@ class KineticIndex {
                                      : line.coef * (t - line.anchor);
   }
 
-  /// Stores id's line: anchor, coefficient, tie key, and in tree mode the
-  /// slope its certificates need (EnterTree derives it for the rest).
-  void SetLine(int id, double anchor, double coef, double tie_key);
-
-  // --- bucket mode ---------------------------------------------------------
+  /// Stores id's line: anchor, coefficient and tie key.
+  void SetLine(int id, double anchor, double coef, double tie_key) {
+    lines_[static_cast<size_t>(id)] = Line{anchor, coef, tie_key};
+  }
 
   /// A line's ordering key with an id: a bucket's best-end candidate, or
   /// the running winner of a tie walk.
@@ -217,11 +180,11 @@ class KineticIndex {
     int tail;
   };
 
-  /// Bucket mode: one record per live bucket. `back` and `front` are the
-  /// candidates (head ids) of the bucket's last and first group; they are
-  /// the same id exactly when the bucket holds a single group, one line or
-  /// several identical ones. The bucket's anchor sits at the same position
-  /// in `anchors_`.
+  /// One record per live bucket. `back` and `front` are the candidates
+  /// (head ids) of the bucket's last and first group; they are the same id
+  /// exactly when the bucket holds a single group, one line or several
+  /// identical ones. The bucket's anchor sits at the same position in
+  /// `anchors_`.
   struct Bucket {
     Member back;
     Member front;
@@ -242,16 +205,25 @@ class KineticIndex {
   /// Position of the live bucket with this anchor value, or -1.
   int FindBucket(double anchor) const;
 
+  /// Home slot of an anchor key (Fibonacci hashing: the top bits of
+  /// key * 2^64 / phi, as many as the table has index bits).
+  size_t AnchorHome(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> anchor_shift_);
+  }
+
   /// Adds / removes the anchor table entry of a live bucket's anchor.
   void MapAnchor(double anchor, int handle);
   void UnmapAnchor(double anchor);
+
+  /// Doubles the anchor table and re-enters every live bucket's anchor.
+  void GrowAnchorTable();
 
   /// Swap-removes the bucket at `pos` and recycles its handle.
   void ReleaseBucket(size_t pos);
 
   /// Adds live id (its line already stored) to the bucket at `pos` — the
-  /// FindBucket answer for its anchor — or opens one when `pos` is -1, and
-  /// enters tree mode when that makes too many.
+  /// FindBucket answer for its anchor — or opens one when `pos` is -1,
+  /// growing the anchor table first when the new bucket would overload it.
   void AddToBucket(int id, int pos);
 
   /// Removes live id (its line still stored) from its bucket; releases the
@@ -281,14 +253,9 @@ class KineticIndex {
     return kMode == EvalMode::kRatio ? x / coef : coef * x;
   }
 
-  /// Empties every bucket, keeping the group vectors for reuse.
+  /// Empties every bucket, keeping the group vectors and the anchor table's
+  /// size for reuse.
   void DropBuckets();
-
-  /// Switches to tree mode, rebuilding the tree from the stored lines.
-  void EnterTree();
-
-  /// Switches to bucket mode, rebuilding the buckets from the stored lines.
-  void LeaveTree();
 
   /// Walks the groups of bucket `pos` whose priority equals `best` (from
   /// the end the scan evaluated) and folds the smallest (tie, id) among
@@ -306,60 +273,26 @@ class KineticIndex {
                                     size_t best_pos, bool tied,
                                     double* priority);
 
-  // --- tree mode -----------------------------------------------------------
-
-  /// Re-derives winner, match certificate, and subtree expiry of internal
-  /// node `node` from its children, evaluating the match at time `t`.
-  void RecomputeNode(int node, double t);
-
-  /// Revalidates the subtree under internal node `node` — the caller has
-  /// already established it is expired or dirty — and returns whether the
-  /// subtree's winner (slot or line) changed. Recurses only into expired or
-  /// dirty children; clean subtrees are never entered.
-  bool RefreshNode(int node, double now);
-
-  /// Marks the leaf-to-root path above `slot` dirty (-inf expiries) so the
-  /// next ArgMax recomputes it. Mutations do no priority arithmetic at all:
-  /// deferring to query time deduplicates overlapping paths and evaluates
-  /// matches at the freshest possible clock.
-  void MarkPath(int slot);
-
-  /// Rebuilds the whole tree over the stored lines at leaf capacity
-  /// `new_capacity` (a power of two).
-  void Rebuild(int new_capacity);
-
-  /// Distinct anchors among the live lines, counting no further than
-  /// `limit`.
-  int CountAnchorsUpTo(int limit);
-
-  int TreeArgMax(SimTime now, double* priority);
-
   EvalMode mode_;
-  bool tree_ = false;
   int capacity_ = 0;  // id slots, power of two (0 until first Reserve)
   int size_ = 0;
-  /// Latest ArgMax query time; a Rebuild evaluates its matches here (the
-  /// clock is monotone, so this is the most recent — and therefore
-  /// tightest — evaluation point available).
-  double last_time_ = 0.0;
-  int recount_countdown_ = kRecountPeriod;
   int64_t line_evaluations_ = 0;
   int64_t clears_ = 0;
 
-  /// Per-id line state: 32 bytes, two lines per cache line, so one Eval plus
-  /// the tie-break touch at most one line of memory.
+  /// Per-id line state. The bucket records carry their candidates' keys,
+  /// so the pick's scan never reads these; inserts, removals and the
+  /// zero-priority re-evaluation do.
   struct Line {
     double anchor = 0.0;
     double coef = 1.0;
-    double slope = 0.0;  // d p / d t: 1/coef (kRatio) or coef (kScaled)
     double tie = 0.0;
   };
 
   std::vector<char> occupied_;
   std::vector<Line> lines_;
 
-  /// The live buckets (bucket mode) and, at the same positions, their
-  /// anchors, packed for the ArgMax scan.
+  /// The live buckets and, at the same positions, their anchors, packed for
+  /// the ArgMax scan.
   std::vector<Bucket> buckets_;
   std::vector<double> anchors_;
   /// No live bucket's anchor exceeds this (-inf when there are none).
@@ -369,12 +302,16 @@ class KineticIndex {
   /// slot. A dequeue re-keys a unit to its next queued tuple, usually older
   /// than the newest arrival, so the ceiling test cannot answer it; with
   /// tens of one-line buckets a scan of the anchors costs more than the
-  /// probe (overload_trains, docs/performance.md).
+  /// probe (overload_trains, docs/performance.md). Its size is a power of
+  /// two, at least three times the live bucket count.
   struct AnchorSlot {
     uint64_t key = 0;
     int handle = -1;
   };
-  std::array<AnchorSlot, kAnchorSlots> anchor_table_{};
+  std::vector<AnchorSlot> anchor_table_ =
+      std::vector<AnchorSlot>(kInitialAnchorSlots);
+  /// 64 minus the table's index bits: AnchorHome's shift.
+  int anchor_shift_ = 64 - std::countr_zero(kInitialAnchorSlots);
 
   /// Groups of each bucket handle with two or more lines, sorted by
   /// Precedes; empty for a one-line bucket, whose line lives in its record
@@ -383,27 +320,15 @@ class KineticIndex {
   std::vector<std::vector<Group>> groups_;
   std::vector<int> head_pos_;      // handle -> position in buckets_
   std::vector<int> free_handles_;  // released handles
-  /// Per-id bucket membership (live ids, bucket mode): the bucket's handle,
-  /// and the next larger id of the id's group (-1 at its tail; set only in
-  /// multi-line buckets). One array rather than two: a separate link array
+  /// Per-id bucket membership (live ids): the bucket's handle, and the next
+  /// larger id of the id's group (-1 at its tail; set only in multi-line
+  /// buckets). One array rather than two: a separate link array
   /// grew drift_calibrated's peak heap (docs/performance.md).
   struct Link {
     int handle = -1;
     int next = -1;
   };
   std::vector<Link> links_;
-  std::vector<uint64_t> anchor_scratch_;  // CountAnchorsUpTo working set
-
-  /// Tree mode: tournament nodes 1..2*capacity_-1, leaves at capacity_ +
-  /// slot. Leaves use only `winner` (the slot, or -1 when vacant) and
-  /// `subtree_exp` (-inf dirty marker, +inf otherwise). Fused so a match
-  /// touches one cache line per child.
-  struct Node {
-    int winner = -1;          // winning slot of the subtree, -1 when empty
-    double match_exp = 0.0;   // earliest time this node's match can flip
-    double subtree_exp = 0.0; // min over subtree: match expiries + dirt
-  };
-  std::vector<Node> nodes_;
 };
 
 }  // namespace aqsios::sched

@@ -46,8 +46,8 @@ struct PolicyConfig {
   /// For kQosGraph: the default utility-graph shape.
   QosGraphOptions qos_graph;
   /// For kLsf/kBsd (kBsdClustered carries its own copy in `clustered`):
-  /// answer picks from the kinetic tournament index instead of the naive
-  /// O(ready) scan. Wall-clock only — decisions, QoS results, and simulated
+  /// answer picks from the kinetic index (anchor buckets, sched/
+  /// kinetic_index.h) instead of the naive O(ready) scan. Wall-clock only — decisions, QoS results, and simulated
   /// SchedulingCost charges are bit-identical either way (pinned by
   /// tests/sched_kinetic_index_test.cc).
   bool use_kinetic_index = true;

@@ -241,10 +241,10 @@ TEST(CalibrationDriftTest, ShardedCalibratedDriftRunsAreDeterministic) {
 }
 
 TEST(CalibrationDriftTest, TargetedRekeysMatchFullRederivationOracle) {
-  // The kinetic policies re-key only the changed units through the index's
-  // dirty-marking; the non-kinetic scan recomputes every priority from the
-  // (calibrated) stats live at each pick. Byte-identical reports prove the
-  // targeted O(log n) path equals the full re-derivation oracle.
+  // The kinetic policies re-key only the changed units in the index; the
+  // non-kinetic scan recomputes every priority from the (calibrated) stats
+  // live at each pick. Byte-identical reports prove the targeted re-key
+  // path equals the full re-derivation oracle.
   const query::Workload workload = TestbedWorkload();
   const core::SimulationOptions options = DriftOptions(workload);
   for (const PolicyKind kind : {PolicyKind::kLsf, PolicyKind::kBsd}) {
@@ -264,7 +264,7 @@ TEST(CalibrationDriftTest, TargetedRekeysMatchFullRederivationOracle) {
 TEST(CalibrationDriftTest, CalibrationNeverClearsTheKineticIndex) {
   // The no-full-rebuild pin: a calibrated drift run re-keys thousands of
   // priority lines, yet the kinetic index is never cleared — every rewrite
-  // goes through per-unit dirty-marking.
+  // goes through a per-unit re-key.
   const query::Workload workload = TestbedWorkload();
   const core::SimulationOptions sim_options = DriftOptions(workload);
   {

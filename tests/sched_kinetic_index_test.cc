@@ -1,10 +1,11 @@
 // KineticIndex correctness: randomized equivalence against a brute-force
-// reference (both eval modes; distinct-anchor traces in both the bucket and
-// tournament-tree regimes; shared-anchor traces with rounding near-ties,
+// reference (both eval modes; distinct-anchor traces from a few dozen to
+// hundreds of anchors; shared-anchor traces with rounding near-ties,
 // colliding tie keys, anchors at and ahead of the clock, or groups of
-// identical lines, all with forced bucket<->tree switches), the switch rule
-// itself, golden-trace equivalence of the kinetic schedulers against their
-// naive scan twins (picks *and* simulated SchedulingCost charges), and
+// identical lines, all with bursts of hundreds of distinct anchors that grow
+// the anchor table and then fold back), the anchor table's growth itself,
+// golden-trace equivalence of the kinetic schedulers against their naive
+// scan twins (picks *and* simulated SchedulingCost charges), and
 // full-simulation equality kinetic on vs off.
 
 #include "sched/kinetic_index.h"
@@ -63,10 +64,33 @@ int ReferenceArgMax(const std::map<int, RefLine>& lines,
   return best;
 }
 
+/// Compares one ArgMax of the index against the reference, priority bit
+/// for bit, and checks the anchor table's load.
+void ExpectSameArgMax(KineticIndex& index,
+                      const std::map<int, RefLine>& reference,
+                      KineticIndex::EvalMode mode, double now, int step) {
+  double expected_priority = 0.0;
+  const int expected = ReferenceArgMax(reference, mode, now, &expected_priority);
+  double actual_priority = 0.0;
+  const int actual = index.ArgMax(now, &actual_priority);
+  ASSERT_EQ(actual, expected) << "step " << step << " now=" << now
+                              << " buckets=" << index.bucket_count()
+                              << " p=" << actual_priority << " vs "
+                              << expected_priority;
+  if (expected >= 0) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(actual_priority),
+              std::bit_cast<uint64_t>(expected_priority))
+        << "step " << step;
+  }
+  ASSERT_LE(3 * index.bucket_count(), index.anchor_slots()) << "step " << step;
+}
+
 /// Drives the index and the reference through `steps` random mutations and
-/// queries over ids in [0, max_id) and asserts identical answers throughout.
-void RunRandomizedTrace(KineticIndex::EvalMode mode, int max_id, int steps,
-                        uint64_t seed, bool reserve_first) {
+/// queries over ids in [0, max_id), then drains the index in random order,
+/// and asserts identical answers throughout. Returns the peak number of
+/// live buckets (distinct anchors).
+int RunRandomizedTrace(KineticIndex::EvalMode mode, int max_id, int steps,
+                       uint64_t seed, bool reserve_first) {
   KineticIndex index(mode);
   if (reserve_first) index.Reserve(max_id);
   std::map<int, RefLine> reference;
@@ -77,6 +101,7 @@ void RunRandomizedTrace(KineticIndex::EvalMode mode, int max_id, int steps,
   std::uniform_int_distribution<int> op_dist(0, 9);
   std::uniform_int_distribution<int> tie_dist(0, 2);
   double now = 0.0;
+  int peak_buckets = 0;
   for (int step = 0; step < steps; ++step) {
     const int op = op_dist(rng);
     if (op < 5) {  // insert or re-key
@@ -95,24 +120,33 @@ void RunRandomizedTrace(KineticIndex::EvalMode mode, int max_id, int steps,
       index.Erase(id);
     } else {  // query at an advanced clock
       now += anchor_dist(rng) * 0.3;
-      double expected_priority = 0.0;
-      const int expected =
-          ReferenceArgMax(reference, mode, now, &expected_priority);
-      double actual_priority = 0.0;
-      const int actual = index.ArgMax(now, &actual_priority);
-      ASSERT_EQ(actual, expected) << "step " << step << " now=" << now;
-      if (expected >= 0) {
-        // Exact equality: both sides must use the same arithmetic.
-        ASSERT_EQ(actual_priority, expected_priority) << "step " << step;
-      }
+      ExpectSameArgMax(index, reference, mode, now, step);
     }
-    ASSERT_EQ(index.size(), static_cast<int>(reference.size()));
+    if (::testing::Test::HasFatalFailure()) return peak_buckets;
+    EXPECT_EQ(index.size(), static_cast<int>(reference.size()));
+    peak_buckets = std::max(peak_buckets, index.bucket_count());
   }
+  // Drain: the buckets shrink back while the table keeps its size.
+  std::vector<int> live;
+  for (const auto& entry : reference) live.push_back(entry.first);
+  std::shuffle(live.begin(), live.end(), rng);
+  for (size_t k = 0; k < live.size(); ++k) {
+    reference.erase(live[k]);
+    index.Erase(live[k]);
+    if (k % 8 == 0) {
+      now += 0.01;
+      ExpectSameArgMax(index, reference, mode, now, steps);
+      if (::testing::Test::HasFatalFailure()) return peak_buckets;
+    }
+  }
+  EXPECT_TRUE(index.empty());
+  EXPECT_EQ(index.bucket_count(), 0);
+  return peak_buckets;
 }
 
 TEST(KineticIndexTest, RandomizedTraceDenseRatio) {
-  // max_id 60 < kTreeEnterBuckets: even with every anchor distinct the whole
-  // trace runs as a bucket scan over single-member buckets.
+  // max_id 60: even with every anchor distinct the buckets stay within the
+  // anchor table's initial size, one line each.
   RunRandomizedTrace(KineticIndex::EvalMode::kRatio, 60, 4000, 0xA1, true);
 }
 
@@ -121,20 +155,26 @@ TEST(KineticIndexTest, RandomizedTraceDenseScaled) {
 }
 
 TEST(KineticIndexTest, RandomizedTraceTreeRatio) {
-  // max_id 600 with continuous anchors: hundreds of distinct anchors keep
-  // the index in tree mode.
-  RunRandomizedTrace(KineticIndex::EvalMode::kRatio, 600, 4000, 0xC3, true);
+  // max_id 600 with continuous anchors: every live line is its own bucket,
+  // past 300 of them, so the anchor table doubles at least twice before the
+  // drain folds the buckets away again.
+  const int peak =
+      RunRandomizedTrace(KineticIndex::EvalMode::kRatio, 600, 4000, 0xC3, true);
+  EXPECT_GE(peak, 300);
 }
 
 TEST(KineticIndexTest, RandomizedTraceTreeScaled) {
-  RunRandomizedTrace(KineticIndex::EvalMode::kScaled, 600, 4000, 0xD4, true);
+  const int peak = RunRandomizedTrace(KineticIndex::EvalMode::kScaled, 600,
+                                      4000, 0xD4, true);
+  EXPECT_GE(peak, 300);
 }
 
 TEST(KineticIndexTest, RandomizedTraceGrowthSwitch) {
-  // No Reserve: the index starts at capacity 1, grows on demand, and crosses
-  // into tree mode mid-trace once the distinct anchors pass the bucket
-  // limit.
-  RunRandomizedTrace(KineticIndex::EvalMode::kScaled, 400, 4000, 0xE5, false);
+  // No Reserve: the id capacity starts at zero and grows on demand while the
+  // anchor table doubles under it, past 300 distinct anchors.
+  const int peak = RunRandomizedTrace(KineticIndex::EvalMode::kScaled, 500,
+                                      5000, 0xE5, false);
+  EXPECT_GE(peak, 300);
 }
 
 /// The line pools a bucketed trace draws from.
@@ -177,10 +217,10 @@ BucketedInputs GroupHeavyInputs() {
 }
 
 /// Drives the index and the reference through a trace whose lines actually
-/// share anchors, drawn from `inputs`. Bursts of distinct anchors force the
-/// index into tree mode, long query runs let the recount hand it back to
-/// the buckets, and Clear/Reserve happen mid-trace. Returns how many
-/// bucket<->tree switches were observed.
+/// share anchors, drawn from `inputs`. Bursts move every id onto its own
+/// distinct anchor (growing the anchor table when max_id is large) and then
+/// fold them back onto the pool, and Clear/Reserve happen mid-trace.
+/// Returns the peak number of live buckets.
 int RunBucketedTrace(KineticIndex::EvalMode mode, int max_id, int steps,
                      uint64_t seed, const BucketedInputs& inputs) {
   KineticIndex index(mode);
@@ -196,27 +236,10 @@ int RunBucketedTrace(KineticIndex::EvalMode mode, int max_id, int steps,
   std::uniform_int_distribution<int> op_dist(0, 999);
   std::uniform_real_distribution<double> step_dist(0.0, 0.02);
   double now = 0.0;
-  int switches = 0;
-  bool was_tree = index.tree_mode();
+  int peak_buckets = 0;
   const auto query = [&](int step) {
-    double expected_priority = 0.0;
-    const int expected =
-        ReferenceArgMax(reference, mode, now, &expected_priority);
-    double actual_priority = 0.0;
-    const int actual = index.ArgMax(now, &actual_priority);
-    if (index.tree_mode() != was_tree) {
-      ++switches;
-      was_tree = index.tree_mode();
-    }
-    ASSERT_EQ(actual, expected) << "step " << step << " now=" << now
-                                << " tree=" << index.tree_mode()
-                                << " p=" << actual_priority << " vs "
-                                << expected_priority;
-    if (expected >= 0) {
-      ASSERT_EQ(std::bit_cast<uint64_t>(actual_priority),
-                std::bit_cast<uint64_t>(expected_priority))
-          << "step " << step;
-    }
+    peak_buckets = std::max(peak_buckets, index.bucket_count());
+    ExpectSameArgMax(index, reference, mode, now, step);
   };
   for (int step = 0; step < steps; ++step) {
     const int op = op_dist(rng);
@@ -265,65 +288,68 @@ int RunBucketedTrace(KineticIndex::EvalMode mode, int max_id, int steps,
       }
       query(step);
     } else if (op < 995) {
-      // Burst: re-key ids onto distinct anchors until the buckets overflow
-      // (tree mode), query, then fold them back onto the pool and run long
-      // enough for the recount to hand the index back to the buckets.
-      const int burst = KineticIndex::kTreeEnterBuckets + 8;
-      for (int k = 0; k < burst; ++k) {
-        const int id = id_dist(rng);
+      // Burst: re-key every id, in random order, onto its own anchor past
+      // the pool, querying on the way, then fold them back onto the pool in
+      // random order; the buckets shrink back to the pool's few.
+      std::vector<int> ids(static_cast<size_t>(max_id));
+      for (int id = 0; id < max_id; ++id) ids[static_cast<size_t>(id)] = id;
+      std::shuffle(ids.begin(), ids.end(), rng);
+      for (size_t k = 0; k < ids.size(); ++k) {
         RefLine line;
-        line.anchor = 20.0 + 0.37 * k + 0.001 * step;
+        line.anchor = 20.0 + 0.37 * static_cast<double>(k) + 0.001 * step;
         line.coef = coef_pool[coef_pick(rng)];
         line.tie = static_cast<double>(tie_dist(rng));
-        reference[id] = line;
-        index.Insert(id, line.anchor, line.coef, line.tie);
+        reference[ids[k]] = line;
+        index.Insert(ids[k], line.anchor, line.coef, line.tie);
+        if (k % 32 == 0) query(step);
       }
       query(step);
-      for (auto& [id, line] : reference) {
-        if (line.anchor >= 20.0) {
-          line.anchor = anchor_pool[anchor_pick(rng)];
-          index.Insert(id, line.anchor, line.coef, line.tie);
+      std::shuffle(ids.begin(), ids.end(), rng);
+      for (size_t k = 0; k < ids.size(); ++k) {
+        RefLine& line = reference[ids[k]];
+        line.anchor = anchor_pool[anchor_pick(rng)];
+        index.Insert(ids[k], line.anchor, line.coef, line.tie);
+        if (k % 32 == 0) {
+          now += 1e-4;
+          query(step);
         }
       }
-      for (int q = 0; q <= KineticIndex::kRecountPeriod &&
-                      !::testing::Test::HasFatalFailure();
-           ++q) {
-        now += 1e-4;
-        query(step);
-      }
+      query(step);
     } else if (op < 998) {
       reference.clear();
       index.Clear();
     } else {
       reference.clear();
       index.Reserve(max_id);
-      was_tree = index.tree_mode();
     }
-    if (::testing::Test::HasFatalFailure()) return switches;
+    if (::testing::Test::HasFatalFailure()) return peak_buckets;
     EXPECT_EQ(index.size(), static_cast<int>(reference.size()));
   }
-  return switches;
+  return peak_buckets;
 }
 
 TEST(KineticIndexTest, RandomizedBucketedTraceRatio) {
+  // 300 ids: each burst holds 300 distinct anchors, so the anchor table
+  // doubles twice (256 -> 1024 slots).
   for (const BucketedInputs& inputs : {NearTieInputs(), GroupHeavyInputs()}) {
-    const int switches = RunBucketedTrace(KineticIndex::EvalMode::kRatio, 300,
-                                          6000, 0x51, inputs);
-    EXPECT_GE(switches, 4) << "the trace must cross the mode switch";
+    const int peak = RunBucketedTrace(KineticIndex::EvalMode::kRatio, 300,
+                                      6000, 0x51, inputs);
+    EXPECT_GE(peak, 300) << "the trace must grow the anchor table";
   }
 }
 
 TEST(KineticIndexTest, RandomizedBucketedTraceScaled) {
   for (const BucketedInputs& inputs : {NearTieInputs(), GroupHeavyInputs()}) {
-    const int switches = RunBucketedTrace(KineticIndex::EvalMode::kScaled,
-                                          300, 6000, 0x52, inputs);
-    EXPECT_GE(switches, 4) << "the trace must cross the mode switch";
+    const int peak = RunBucketedTrace(KineticIndex::EvalMode::kScaled, 300,
+                                      6000, 0x52, inputs);
+    EXPECT_GE(peak, 300) << "the trace must grow the anchor table";
   }
 }
 
 TEST(KineticIndexTest, RandomizedBucketedTraceSmallIds) {
-  // 40 ids never exceed the bucket limit: a pure bucket-mode trace with
-  // large shared buckets (near-tie lines) or small groups (identical ones).
+  // 40 ids never grow the anchor table: large shared buckets (near-tie
+  // lines) or small groups (identical ones), with bursts of one-line
+  // buckets.
   for (const BucketedInputs& inputs : {NearTieInputs(), GroupHeavyInputs()}) {
     for (const auto mode :
          {KineticIndex::EvalMode::kRatio, KineticIndex::EvalMode::kScaled}) {
@@ -335,11 +361,10 @@ TEST(KineticIndexTest, RandomizedBucketedTraceSmallIds) {
 TEST(KineticIndexTest, SharedAnchorsFormOneBucketEach) {
   KineticIndex index(KineticIndex::EvalMode::kScaled);
   index.Reserve(400);
-  // 300 lines over 3 anchors: three buckets, never the tree.
+  // 300 lines over 3 anchors: three buckets.
   for (int id = 0; id < 300; ++id) {
     index.Insert(id, static_cast<double>(id % 3), 1.0 + 0.01 * id);
   }
-  EXPECT_FALSE(index.tree_mode());
   EXPECT_EQ(index.bucket_count(), 3);
   // Best at t=10: max over anchors a of (10 - a) * coef — anchor 0 with the
   // steepest member of that bucket (id 297, coef 3.97).
@@ -352,22 +377,21 @@ TEST(KineticIndexTest, SharedAnchorsFormOneBucketEach) {
 }
 
 TEST(KineticIndexTest, BucketCountTracksDistinctAnchors) {
-  // One bucket per distinct live anchor, whatever path the anchor lookup
-  // takes (a scan for few buckets, a hash table for many): phases that grow
-  // the anchor set past the table threshold alternate with phases that
-  // drain it to a handful of lines, with re-keys throughout.
+  // One bucket per distinct live anchor: phases that grow the anchor set
+  // past the anchor table's first doubling alternate with phases that drain
+  // it to a handful of lines, with re-keys throughout.
   KineticIndex index(KineticIndex::EvalMode::kScaled);
   index.Reserve(300);
   std::map<int, double> anchor_of;
   std::mt19937_64 rng(0x7AB1E);
   std::uniform_int_distribution<int> id_dist(0, 299);
-  std::uniform_int_distribution<int> anchor_dist(0, 49);
+  std::uniform_int_distribution<int> anchor_dist(0, 399);
   const auto check = [&](int phase) {
     std::map<double, int> distinct;
     for (const auto& entry : anchor_of) ++distinct[entry.second];
-    ASSERT_FALSE(index.tree_mode());
     ASSERT_EQ(index.bucket_count(), static_cast<int>(distinct.size()))
         << "phase " << phase;
+    ASSERT_LE(3 * index.bucket_count(), index.anchor_slots());
   };
   for (int phase = 0; phase < 6; ++phase) {
     for (int step = 0; step < 400; ++step) {  // grow and re-key
@@ -390,6 +414,8 @@ TEST(KineticIndexTest, BucketCountTracksDistinctAnchors) {
       check(phase);
     }
   }
+  EXPECT_GT(index.anchor_slots(),
+            static_cast<int>(KineticIndex::kInitialAnchorSlots));
 }
 
 TEST(KineticIndexTest, EqualCoefficientsTieToSmallestTieThenId) {
@@ -414,102 +440,59 @@ TEST(KineticIndexTest, EqualCoefficientsTieToSmallestTieThenId) {
   }
 }
 
-TEST(KineticIndexTest, BucketModeEntersTreePastBucketLimit) {
-  KineticIndex index(KineticIndex::EvalMode::kScaled);
-  index.Reserve(200);
-  EXPECT_FALSE(index.tree_mode()) << "a fresh index starts in bucket mode";
-  for (int id = 0; id < KineticIndex::kTreeEnterBuckets; ++id) {
-    index.Insert(id, static_cast<double>(id), 1.0);
-  }
-  EXPECT_FALSE(index.tree_mode());
-  EXPECT_EQ(index.bucket_count(), KineticIndex::kTreeEnterBuckets);
-  // Joining an existing anchor opens no bucket.
-  index.Insert(150, 5.0, 2.0);
-  EXPECT_FALSE(index.tree_mode());
-  EXPECT_EQ(index.bucket_count(), KineticIndex::kTreeEnterBuckets);
-  // One more distinct anchor crosses the limit; every entry survives the
-  // rebuild and the answer is unchanged.
-  EXPECT_EQ(index.ArgMax(100.0), 150);  // 2 * (100 - 5) beats 1 * (100 - 0)
-  index.Insert(151, 99.5, 1.0);
-  EXPECT_TRUE(index.tree_mode());
-  EXPECT_EQ(index.bucket_count(), 0) << "tree mode keeps no buckets";
-  EXPECT_EQ(index.size(), KineticIndex::kTreeEnterBuckets + 2);
-  EXPECT_EQ(index.ArgMax(100.0), 150);
-  index.Erase(150);
-  EXPECT_EQ(index.ArgMax(100.0), 0);
-}
-
-TEST(KineticIndexTest, TreeModeReturnsToBucketsAfterRecount) {
+TEST(KineticIndexTest, AnchorTableDoublesPastAThirdFull) {
+  // 1000 one-line buckets on distinct anchors: the table doubles whenever a
+  // new bucket would fill more than a third of it, and never shrinks.
   KineticIndex index(KineticIndex::EvalMode::kRatio);
-  index.Reserve(200);
-  const int distinct = KineticIndex::kTreeEnterBuckets + 1;
-  for (int id = 0; id < distinct; ++id) {
-    index.Insert(id, static_cast<double>(id), 1.0 + id);
+  index.Reserve(1000);
+  int slots = index.anchor_slots();
+  EXPECT_EQ(slots, static_cast<int>(KineticIndex::kInitialAnchorSlots));
+  int doublings = 0;
+  for (int id = 0; id < 1000; ++id) {
+    index.Insert(id, static_cast<double>(id), 1.0 + (id % 7));
+    if (index.anchor_slots() != slots) {
+      EXPECT_EQ(index.anchor_slots(), 2 * slots) << "id " << id;
+      EXPECT_GT(3 * index.bucket_count(), slots) << "doubled early";
+      slots = index.anchor_slots();
+      ++doublings;
+    }
+    ASSERT_LE(3 * index.bucket_count(), slots) << "id " << id;
   }
-  ASSERT_TRUE(index.tree_mode());
-  // Down to one anchor above the leave threshold: recounts keep the tree.
-  for (int id = KineticIndex::kTreeLeaveBuckets + 1; id < distinct; ++id) {
-    index.Erase(id);
-  }
-  double t = 1000.0;
-  for (int q = 0; q < 2 * KineticIndex::kRecountPeriod; ++q) {
-    index.ArgMax(t += 0.5);
-  }
-  EXPECT_TRUE(index.tree_mode()) << "hysteresis: 33 anchors stay in the tree";
-  // At the threshold the next recount hands back to the bucket scan, with
-  // the same answers.
-  index.Erase(KineticIndex::kTreeLeaveBuckets);
-  const int expected = index.ArgMax(t);
-  for (int q = 0; q < KineticIndex::kRecountPeriod; ++q) {
-    EXPECT_EQ(index.ArgMax(t), expected);
-  }
-  EXPECT_FALSE(index.tree_mode());
-  EXPECT_EQ(index.bucket_count(), KineticIndex::kTreeLeaveBuckets);
-  EXPECT_EQ(index.ArgMax(t), expected);
-}
-
-TEST(KineticIndexTest, TreeCertificatesSuppressRecomputes) {
-  // With static lines and a monotone clock, repeated queries after the first
-  // must ride the root certificate (no line evaluated) until a crossover.
-  KineticIndex index(KineticIndex::EvalMode::kScaled);
-  index.Reserve(500);
-  // Line A: 1.0 * (t - 0)  — wins early. Line B: 10 * (t - 9) — overtakes at
-  // t = 10.
-  index.Insert(0, 0.0, 1.0);
-  index.Insert(300, 9.0, 10.0);
-  // Fillers on distinct anchors ahead of the clock put the index in tree
-  // mode; they never win and, at A's slope, never cross it.
-  for (int k = 0; k < KineticIndex::kTreeEnterBuckets; ++k) {
-    index.Insert(100 + k, 50.0 + k, 1.0);
-  }
-  ASSERT_TRUE(index.tree_mode());
-  EXPECT_EQ(index.ArgMax(9.5), 0);
-  const int64_t after_first = index.line_evaluations();
-  EXPECT_EQ(index.ArgMax(9.6), 0);
-  EXPECT_EQ(index.ArgMax(9.7), 0);
-  EXPECT_EQ(index.line_evaluations(), after_first)
-      << "queries inside the certificate window must be O(1)";
-  EXPECT_EQ(index.ArgMax(11.0), 300) << "crossover must be noticed";
+  EXPECT_EQ(doublings, 4);  // 256 -> 4096 slots for 1000 buckets
+  // At t = 2000 the line (t - a) / c is largest for the smallest coefficient
+  // (id % 7 == 0) and then the oldest anchor: id 0.
+  double priority = 0.0;
+  EXPECT_EQ(index.ArgMax(2000.0, &priority), 0);
+  EXPECT_EQ(priority, 2000.0);
+  const int64_t before = index.line_evaluations();
+  index.ArgMax(2000.0);
+  EXPECT_EQ(index.line_evaluations() - before, 1000) << "one per bucket";
+  for (int id = 0; id < 998; ++id) index.Erase(id);
+  EXPECT_EQ(index.bucket_count(), 2);
+  EXPECT_EQ(index.anchor_slots(), slots);
+  // id 998: (2000 - 998) / (1 + 4); id 999: (2000 - 999) / (1 + 5).
+  EXPECT_EQ(index.ArgMax(2000.0, &priority), 998);
+  EXPECT_EQ(priority, (2000.0 - 998.0) / 5.0);
 }
 
 TEST(KineticIndexTest, ClearEmptiesBothModes) {
-  for (const bool tree : {false, true}) {
-    KineticIndex index(KineticIndex::EvalMode::kScaled);
+  for (const auto mode :
+       {KineticIndex::EvalMode::kRatio, KineticIndex::EvalMode::kScaled}) {
+    KineticIndex index(mode);
     index.Reserve(500);
     index.Insert(1, 0.0, 1.0);
     index.Insert(2, 0.0, 2.0);
-    if (tree) {
-      for (int k = 0; k < KineticIndex::kTreeEnterBuckets; ++k) {
-        index.Insert(100 + k, 1.0 + k, 1.0);
-      }
-    }
-    ASSERT_EQ(index.tree_mode(), tree);
+    for (int k = 0; k < 200; ++k) index.Insert(100 + k, 1.0 + k, 1.0);
+    const int slots = index.anchor_slots();
+    EXPECT_GT(slots, static_cast<int>(KineticIndex::kInitialAnchorSlots));
     index.Clear();
     EXPECT_TRUE(index.empty());
-    EXPECT_EQ(index.tree_mode(), tree) << "Clear keeps the mode";
+    EXPECT_EQ(index.bucket_count(), 0);
+    EXPECT_EQ(index.anchor_slots(), slots) << "Clear keeps the table";
     EXPECT_EQ(index.ArgMax(5.0), -1);
     index.Insert(3, 0.0, 1.0);
     EXPECT_EQ(index.ArgMax(5.0), 3);
+    EXPECT_EQ(index.clears(), 1);
   }
 }
 
@@ -684,10 +667,9 @@ TEST(KineticEquivalenceTest, SimulationBitIdenticalKineticOnOff) {
   // §8 testbed cells at 320 queries, where every arrival fans out to
   // hundreds of units. The plain cell holds a few dozen shared-anchor
   // buckets of ~10-20 units each. With §7 sharing groups of 10 the distinct
-  // head arrivals of BSD's ready set peak past kTreeEnterBuckets and fall
-  // back, so that run crosses the bucket/tree switch in both directions
-  // (twice each at the time of writing). The whole serialized result must
-  // match the scan's.
+  // head arrivals of BSD's ready set peak at about 109 live buckets, so that
+  // run grows the anchor table past its initial 256 slots. The whole
+  // serialized result must match the scan's.
   query::WorkloadConfig plain = TestbedConfig(320, 1000);
   query::WorkloadConfig shared = TestbedConfig(320, 3000);
   shared.sharing_group_size = 10;
